@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
       const auto r =
           scenarios::run_scenario(ring, config, factory_for(policy), factory_for(policy), seed);
       if (r.own_nmac()) ++nmacs;
-      vetoes += r.own.resolver.vetoes;
-      disagreements += r.own.resolver.disagreements;
-      joint_cycles += r.own.resolver.joint_cycles;
+      vetoes += r.agents[0].resolver.vetoes;
+      disagreements += r.agents[0].resolver.disagreements;
+      joint_cycles += r.agents[0].resolver.joint_cycles;
     }
     std::printf("  %-12s own NMACs %2d/%d  (resolver vetoes %d, fused-vs-nearest "
                 "disagreements %d, joint cycles %d)\n",

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n%s\n", sim::render_side_view(run.trajectory).c_str());
   std::printf("own-ship: first alert at t=%.0f s, final advisory %s; intruder: %s\n",
-              run.own.first_alert_time_s, run.own.final_advisory.c_str(),
-              run.intruder.final_advisory.c_str());
+              run.agents[0].first_alert_time_s, run.agents[0].final_advisory.c_str(),
+              run.agents[1].final_advisory.c_str());
   std::printf("min separation %.1f m at t=%.1f s — NMAC: %s\n", run.proximity.min_distance_m,
               run.proximity.time_of_min_distance_s, run.nmac ? "YES" : "no");
 

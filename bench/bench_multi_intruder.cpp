@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     const auto result = scenarios::run_scenario(scenario, sim_config, equipped, {}, 99);
     std::printf("%-16s %-4zu %-12.1f %-8s %-8s\n", scenario.name.c_str(),
                 scenario.num_aircraft() - 1, result.own_min_separation_m(),
-                result.own_nmac() ? "yes" : "no", result.own.ever_alerted ? "yes" : "no");
+                result.own_nmac() ? "yes" : "no", result.agents[0].ever_alerted ? "yes" : "no");
   }
   return 0;
 }

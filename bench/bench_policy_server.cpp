@@ -8,8 +8,8 @@
 // grid scatter per query and action-outer / vertex-inner accumulation —
 // because that is the path every caller paid before the serving layer
 // existed.  The batched path is PolicyServer::query_batch over the mmap'd
-// image: allocation-free, bucketed by (tau layer, grid cell), with the
-// action loop contiguous and vectorizable.
+// image: allocation-free, in input order, with the action loop contiguous
+// and vectorizable, serially and sharded across the bench pool.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -116,14 +116,14 @@ std::vector<serving::JointTrackQuery> random_joint_queries(const acasx::JointCon
 std::pair<double, double> timed_batches(const serving::PolicyServer& server,
                                         std::span<const serving::TrackQuery> queries,
                                         std::span<serving::AdvisoryCosts> out,
-                                        std::size_t batch, const serving::BatchOptions& options) {
+                                        std::size_t batch, ThreadPool* pool) {
   std::vector<double> batch_s;
   batch_s.reserve(queries.size() / batch + 1);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < queries.size(); i += batch) {
     const std::size_t n = std::min(batch, queries.size() - i);
     const auto t0 = std::chrono::steady_clock::now();
-    server.query_batch(queries.subspan(i, n), out.subspan(i, n), options);
+    server.query_batch(queries.subspan(i, n), out.subspan(i, n), pool);
     batch_s.push_back(seconds_since(t0));
   }
   const double total = seconds_since(start);
@@ -261,61 +261,31 @@ int main(int argc, char** argv) {
   }
   const double api_s = seconds_since(api_start);
 
-  serving::BatchOptions unsorted;
-  unsorted.sort_by_cell = serving::CellSort::kOff;
-  const auto [unsorted_s, unsorted_p99] =
-      timed_batches(f32_server, queries, out, kBatch, unsorted);
-
-  serving::BatchOptions sorted;
-  sorted.sort_by_cell = serving::CellSort::kOn;
-  const auto [batch_s, batch_p99] = timed_batches(f32_server, queries, out, kBatch, sorted);
-
-  // One mega-batch: cell-sorting the whole query set turns the table
-  // accesses into a single ascending-address sweep, so every touched table
-  // line is fetched from DRAM at most once per batch instead of once per
-  // query neighbourhood.
-  const auto [mega_s, mega_p99] = timed_batches(f32_server, queries, out, kQueries, sorted);
-
-  // kAuto resolves from the pool size: sort on for >= 2 workers, off on a
-  // single-threaded pool (the measured break-even — the sequential sort
-  // only pays when it feeds perfectly-local parallel shards).
-  serving::BatchOptions pooled;
-  pooled.pool = &bench::pool();
-  const auto [pooled_s, pooled_p99] = timed_batches(f32_server, queries, out, kBatch, pooled);
+  const auto [serial_s, serial_p99] = timed_batches(f32_server, queries, out, kBatch, nullptr);
+  const auto [pooled_s, pooled_p99] =
+      timed_batches(f32_server, queries, out, kBatch, &bench::pool());
 
   const auto qps = [](std::size_t n, double s) { return static_cast<double>(n) / s; };
   std::printf("\npairwise throughput (%zu random queries, batch %zu):\n", kQueries, kBatch);
   std::printf("  single query, seed path:      %10.0f advisories/s\n",
               qps(kQueries, single_s));
   std::printf("  single query, current API:    %10.0f advisories/s\n", qps(kQueries, api_s));
-  std::printf("  batched, unsorted:            %10.0f advisories/s  (p99 %6.3f ms)\n",
-              qps(kQueries, unsorted_s), unsorted_p99 * 1e3);
-  std::printf("  batched, cell-sorted:         %10.0f advisories/s  (p99 %6.3f ms)\n",
-              qps(kQueries, batch_s), batch_p99 * 1e3);
-  std::printf("  batched, sorted mega-batch:   %10.0f advisories/s\n", qps(kQueries, mega_s));
-  std::printf("  batched, auto(%s) + pool(%zu): %10.0f advisories/s  (p99 %6.3f ms)\n",
-              pooled.should_sort() ? "sort" : "no-sort", bench::pool().thread_count(),
-              qps(kQueries, pooled_s), pooled_p99 * 1e3);
-  // Headline: the best batched configuration (and its p99) vs the seed
+  std::printf("  batched, serial:              %10.0f advisories/s  (p99 %6.3f ms)\n",
+              qps(kQueries, serial_s), serial_p99 * 1e3);
+  std::printf("  batched + pool(%zu):           %10.0f advisories/s  (p99 %6.3f ms)\n",
+              bench::pool().thread_count(), qps(kQueries, pooled_s), pooled_p99 * 1e3);
+  // Headline: the faster batched configuration (and its p99) vs the seed
   // single-query baseline.
-  const struct {
-    double total_s;
-    double p99_s;
-  } kBatchRuns[] = {{unsorted_s, unsorted_p99}, {batch_s, batch_p99}, {mega_s, mega_p99},
-                    {pooled_s, pooled_p99}};
-  double best_batch_s = kBatchRuns[0].total_s;
-  double best_batch_p99 = kBatchRuns[0].p99_s;
-  for (const auto& run : kBatchRuns) {
-    if (run.total_s < best_batch_s) {
-      best_batch_s = run.total_s;
-      best_batch_p99 = run.p99_s;
-    }
-  }
+  const bool pooled_wins = pooled_s < serial_s;
+  const double best_batch_s = pooled_wins ? pooled_s : serial_s;
+  const double best_batch_p99 = pooled_wins ? pooled_p99 : serial_p99;
   std::printf("  speedup batched vs baseline:  %10.2fx\n", single_s / best_batch_s);
   std::printf("  (checksum %g)\n", sink);
 
   bench::record_metric("e15.pair.single_seed_qps", qps(kQueries, single_s));
   bench::record_metric("e15.pair.single_api_qps", qps(kQueries, api_s));
+  bench::record_metric("e15.pair.batch_serial_qps", qps(kQueries, serial_s));
+  bench::record_metric("e15.pair.batch_pooled_qps", qps(kQueries, pooled_s));
   bench::record_metric("e15.pair.batch_qps", qps(kQueries, best_batch_s));
   bench::record_metric("e15.pair.batch_p99_s", best_batch_p99);
   bench::record_metric("e15.pair.speedup_batched", single_s / best_batch_s);

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", sim::render_side_view(run.trajectory).c_str());
   std::printf("typical tail approach: min separation %.1f m, NMAC: %s, own alerted: %s\n",
               run.proximity.min_distance_m, run.nmac ? "YES" : "no",
-              run.own.ever_alerted ? "yes" : "NO (the blind spot)");
+              run.agents[0].ever_alerted ? "yes" : "NO (the blind spot)");
 
   const std::string csv_path = bench::output_dir() + "/fig78_tail_trajectory.csv";
   sim::write_trajectory_csv(run.trajectory, csv_path);

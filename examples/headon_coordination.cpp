@@ -35,13 +35,11 @@ int main(int argc, char** argv) {
   std::printf("%-6s %-12s %-12s %-14s %-14s %-12s\n", "t[s]", "own alt[m]", "int alt[m]",
               "own advisory", "int advisory", "sep[m]");
   for (const auto& s : run.trajectory) {
+    const double separation_m = distance(s.position_m[0], s.position_m[1]);
     // Print only the interesting window around the alerts.
-    if (s.own_advisory == "COC" && s.intruder_advisory == "COC" && s.separation_m > 1500.0) {
-      continue;
-    }
-    std::printf("%-6.0f %-12.1f %-12.1f %-14s %-14s %-12.1f\n", s.t_s, s.own_position_m.z,
-                s.intruder_position_m.z, s.own_advisory.c_str(), s.intruder_advisory.c_str(),
-                s.separation_m);
+    if (s.advisory[0] == "COC" && s.advisory[1] == "COC" && separation_m > 1500.0) continue;
+    std::printf("%-6.0f %-12.1f %-12.1f %-14s %-14s %-12.1f\n", s.t_s, s.position_m[0].z,
+                s.position_m[1].z, s.advisory[0].c_str(), s.advisory[1].c_str(), separation_m);
   }
 
   std::printf("\n%s\n", sim::render_side_view(run.trajectory).c_str());
@@ -51,8 +49,8 @@ int main(int argc, char** argv) {
               run.nmac ? "YES" : "no");
   std::printf("own-ship alerted at t = %.0f s; coordination gave the intruder the\n"
               "complementary sense (own %s / intruder %s final advisories).\n",
-              run.own.first_alert_time_s, run.own.final_advisory.c_str(),
-              run.intruder.final_advisory.c_str());
+              run.agents[0].first_alert_time_s, run.agents[0].final_advisory.c_str(),
+              run.agents[1].final_advisory.c_str());
 
   const std::string csv_path = argc > 1 ? argv[1] : "headon_trajectory.csv";
   sim::write_trajectory_csv(run.trajectory, csv_path);

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       policy_config.threat_policy = policy;
       const auto r = scenarios::run_scenario(ring, policy_config, factory, factory, seed);
       if (r.own_nmac()) ++nmacs;
-      disagreements += r.own.resolver.disagreements;
+      disagreements += r.agents[0].resolver.disagreements;
     }
     std::printf("  %-12s own NMACs %2d/20%s\n",
                 policy == sim::ThreatPolicy::kNearest     ? "nearest:"
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   // trajectory view), plus the full run as CSV for external plotting.
   std::printf("\n%s\n", sim::render_top_view(equipped_run.trajectory).c_str());
   const std::string csv_path = "multi_intruder_ring.csv";
-  sim::write_multi_trajectory_csv(equipped_run.multi_trajectory, csv_path);
+  sim::write_multi_trajectory_csv(equipped_run.trajectory, csv_path);
   std::printf("full %zu-aircraft trajectory: %s\n", equipped_run.agents.size(),
               csv_path.c_str());
   return 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 #include "serving/kernel.h"
 #include "serving/table_codec.h"
@@ -15,8 +14,6 @@ namespace cav::acasx {
 namespace {
 
 using serving::TableIoError;
-
-constexpr std::uint32_t kLegacyMagic = 0x4a545831;  // "JTX1", the pre-serving format
 
 // meta_f64 layout: 4 axes x (lo, hi), secondary x 3, dynamics x 4, costs x 8.
 constexpr std::size_t kMetaF64Count = 4 * 2 + 3 + 4 + 8;
@@ -82,73 +79,6 @@ JointConfig decode_meta(const serving::TableImage& image) {
   c.costs.reversal_cost = f64[21];
   c.costs.termination_cost = f64[22];
   return c;
-}
-
-UniformAxis read_legacy_axis(std::ifstream& in) {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&lo), sizeof lo);
-  in.read(reinterpret_cast<char*>(&hi), sizeof hi);
-  in.read(reinterpret_cast<char*>(&count), sizeof count);
-  return UniformAxis(lo, hi, static_cast<std::size_t>(count));
-}
-
-// DEPRECATED read path for the pre-serving "JTX1" format; kept for one
-// release so cached tables survive the migration.  save() always writes
-// the TableImage container now.
-JointLogicTable load_legacy(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TableIoError("JointLogicTable::load", "cannot open", path);
-
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (magic != kLegacyMagic) throw TableIoError("JointLogicTable::load", "bad magic", path);
-
-  JointConfig config;
-  config.space.h_ft = read_legacy_axis(in);
-  config.space.dh_own_fps = read_legacy_axis(in);
-  config.space.dh_int_fps = read_legacy_axis(in);
-  config.secondary.h2_ft = read_legacy_axis(in);
-  std::uint64_t tau_max = 0;
-  in.read(reinterpret_cast<char*>(&tau_max), sizeof tau_max);
-  config.space.tau_max = static_cast<std::size_t>(tau_max);
-  std::uint64_t delta_bins = 0;
-  in.read(reinterpret_cast<char*>(&delta_bins), sizeof delta_bins);
-  config.secondary.num_delta_bins = static_cast<std::size_t>(delta_bins);
-  double secondary[3];
-  in.read(reinterpret_cast<char*>(secondary), sizeof secondary);
-  config.secondary.delta_step_s = secondary[0];
-  config.secondary.sense_rate_fps = secondary[1];
-  config.secondary.sense_level_threshold_fps = secondary[2];
-
-  double dyn[4];
-  in.read(reinterpret_cast<char*>(dyn), sizeof dyn);
-  config.dynamics.dt_s = dyn[0];
-  config.dynamics.accel_initial_fps2 = dyn[1];
-  config.dynamics.accel_strength_fps2 = dyn[2];
-  config.dynamics.accel_noise_sigma_fps2 = dyn[3];
-  double costs[8];
-  in.read(reinterpret_cast<char*>(costs), sizeof costs);
-  config.costs.nmac_cost = costs[0];
-  config.costs.nmac_h_ft = costs[1];
-  config.costs.maneuver_cost = costs[2];
-  config.costs.strengthened_maneuver_cost = costs[3];
-  config.costs.level_reward = costs[4];
-  config.costs.strengthen_cost = costs[5];
-  config.costs.reversal_cost = costs[6];
-  config.costs.termination_cost = costs[7];
-
-  JointLogicTable table(config);
-  std::uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof n);
-  if (n != table.raw().size()) {
-    throw TableIoError("JointLogicTable::load", "size mismatch", path);
-  }
-  in.read(reinterpret_cast<char*>(table.raw().data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!in) throw TableIoError("JointLogicTable::load", "truncated", path);
-  return table;
 }
 
 }  // namespace
@@ -229,8 +159,6 @@ void JointLogicTable::save(const std::string& path, serving::Quantization quant)
 }
 
 JointLogicTable JointLogicTable::load(const std::string& path) {
-  if (serving::peek_magic(path) == kLegacyMagic) return load_legacy(path);
-
   serving::TableImage image = serving::TableImage::open(path);
   if (image.kind_name() != serving::kKindJoint) {
     throw TableIoError("JointLogicTable::load", "wrong table kind", path);

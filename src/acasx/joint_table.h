@@ -204,10 +204,9 @@ class JointLogicTable {
   void save(const std::string& path, serving::Quantization quant) const;
   void save(const std::string& path) const { save(path, serving::Quantization::kNone); }
 
-  /// Load into an OWNING table (copies / dequantizes the payload).  Files
-  /// in the pre-serving ad-hoc format (magic "JTX1") still load for one
-  /// release; saving always writes the image container.  Throws
-  /// serving::TableIoError (a std::runtime_error).
+  /// Load into an OWNING table (copies / dequantizes the payload).  Any
+  /// other file, including the pre-serving "JTX1" format, is rejected.
+  /// Throws serving::TableIoError (a std::runtime_error).
   static JointLogicTable load(const std::string& path);
 
   /// Zero-copy load over an unquantized (f32) image: values alias the

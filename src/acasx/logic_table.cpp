@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 #include "serving/kernel.h"
 #include "serving/table_codec.h"
@@ -14,8 +13,6 @@ namespace cav::acasx {
 namespace {
 
 using serving::TableIoError;
-
-constexpr std::uint32_t kLegacyMagic = 0x41435831;  // "ACX1", the pre-serving format
 
 // meta_f64 layout: 3 axes x (lo, hi), dynamics x 4, costs x 8.
 constexpr std::size_t kMetaF64Count = 3 * 2 + 4 + 8;
@@ -72,62 +69,6 @@ AcasXuConfig decode_meta(const serving::TableImage& image) {
   return c;
 }
 
-UniformAxis read_legacy_axis(std::ifstream& in) {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&lo), sizeof lo);
-  in.read(reinterpret_cast<char*>(&hi), sizeof hi);
-  in.read(reinterpret_cast<char*>(&count), sizeof count);
-  return UniformAxis(lo, hi, static_cast<std::size_t>(count));
-}
-
-// DEPRECATED read path for the pre-serving "ACX1" format; kept for one
-// release so cached tables survive the migration.  save() always writes
-// the TableImage container now.
-LogicTable load_legacy(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TableIoError("LogicTable::load", "cannot open", path);
-
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (magic != kLegacyMagic) throw TableIoError("LogicTable::load", "bad magic", path);
-
-  AcasXuConfig config;
-  config.space.h_ft = read_legacy_axis(in);
-  config.space.dh_own_fps = read_legacy_axis(in);
-  config.space.dh_int_fps = read_legacy_axis(in);
-  std::uint64_t tau_max = 0;
-  in.read(reinterpret_cast<char*>(&tau_max), sizeof tau_max);
-  config.space.tau_max = static_cast<std::size_t>(tau_max);
-
-  double dyn[4];
-  in.read(reinterpret_cast<char*>(dyn), sizeof dyn);
-  config.dynamics.dt_s = dyn[0];
-  config.dynamics.accel_initial_fps2 = dyn[1];
-  config.dynamics.accel_strength_fps2 = dyn[2];
-  config.dynamics.accel_noise_sigma_fps2 = dyn[3];
-  double costs[8];
-  in.read(reinterpret_cast<char*>(costs), sizeof costs);
-  config.costs.nmac_cost = costs[0];
-  config.costs.nmac_h_ft = costs[1];
-  config.costs.maneuver_cost = costs[2];
-  config.costs.strengthened_maneuver_cost = costs[3];
-  config.costs.level_reward = costs[4];
-  config.costs.strengthen_cost = costs[5];
-  config.costs.reversal_cost = costs[6];
-  config.costs.termination_cost = costs[7];
-
-  LogicTable table(config);
-  std::uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof n);
-  if (n != table.raw().size()) throw TableIoError("LogicTable::load", "size mismatch", path);
-  in.read(reinterpret_cast<char*>(table.raw().data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!in) throw TableIoError("LogicTable::load", "truncated", path);
-  return table;
-}
-
 }  // namespace
 
 AcasXuConfig LogicTable::decode_config(const serving::TableImage& image) {
@@ -177,8 +118,6 @@ void LogicTable::save(const std::string& path, serving::Quantization quant) cons
 }
 
 LogicTable LogicTable::load(const std::string& path) {
-  if (serving::peek_magic(path) == kLegacyMagic) return load_legacy(path);
-
   serving::TableImage image = serving::TableImage::open(path);
   if (image.kind_name() != serving::kKindPairwise) {
     throw TableIoError("LogicTable::load", "wrong table kind", path);

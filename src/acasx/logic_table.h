@@ -83,9 +83,8 @@ class LogicTable {
   void save(const std::string& path) const { save(path, serving::Quantization::kNone); }
 
   /// Load into an OWNING table: TableImage payloads are copied (and
-  /// dequantized when the image is f16/int8 — lossy, by design).  Files
-  /// written by the pre-serving ad-hoc format (magic "ACX1") still load
-  /// for one release; saving always writes the image container.
+  /// dequantized when the image is f16/int8 — lossy, by design).  Any
+  /// other file, including the pre-serving "ACX1" format, is rejected.
   /// Throws serving::TableIoError (a std::runtime_error).
   static LogicTable load(const std::string& path);
 

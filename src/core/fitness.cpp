@@ -65,7 +65,7 @@ std::vector<FitnessRunOutcome> EncounterEvaluator::evaluate_runs(
   outcomes.reserve(end - begin);
   for (std::size_t k = begin; k < end; ++k) {
     const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
-    outcomes.push_back({result.miss_distance_m(), result.nmac, result.own.ever_alerted,
+    outcomes.push_back({result.miss_distance_m(), result.nmac, result.agents[0].ever_alerted,
                         result.wall_time_s});
   }
   return outcomes;
@@ -149,7 +149,7 @@ std::vector<FitnessRunOutcome> MultiEncounterEvaluator::evaluate_runs(
   for (std::size_t k = begin; k < end; ++k) {
     const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
     outcomes.push_back({result.own_miss_distance_m(), result.own_nmac(),
-                        result.own.ever_alerted, result.wall_time_s});
+                        result.agents[0].ever_alerted, result.wall_time_s});
   }
   return outcomes;
 }

@@ -2,20 +2,7 @@
 
 #include <limits>
 
-#include "core/validation_campaign.h"
-
 namespace cav::core {
-
-SystemRates estimate_rates(const encounter::StatisticalEncounterModel& model,
-                           const MonteCarloConfig& config, const std::string& system_name,
-                           const sim::CasFactory& own_cas, const sim::CasFactory& intruder_cas,
-                           ThreadPool* pool) {
-  // A single-stripe campaign over the shared kernel — bit-identical to the
-  // pre-campaign implementation (asserted in tests/test_core_campaign).
-  return ValidationCampaign(model, config, system_name, own_cas, intruder_cas)
-      .run(pool)
-      .rates;
-}
 
 double risk_ratio(const SystemRates& system, const SystemRates& unequipped) {
   const double base = unequipped.nmac_rate();

@@ -9,12 +9,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/fitness.h"
-#include "encounter/statistical_model.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace cav::core {
 
@@ -87,28 +84,6 @@ struct SystemRates {
   Interval nmac_ci() const { return wilson_interval(nmacs, encounters); }
   Interval alert_ci() const { return wilson_interval(alerts, encounters); }
 };
-
-/// Estimate rates for one equipage.  `own_cas` equips the own-ship and
-/// `intruder_cas` each intruder that the equipage draw (see
-/// MonteCarloConfig::equipage_fraction) selects; unequipped intruders fly
-/// per `unequipped_behavior`; pass nullptr factories for unequipped
-/// flight.  Encounter geometries, disturbance seeds, equipage draws, and
-/// fault draws depend only on (config.seed, encounter index, agent
-/// index), so different systems face exactly the same traffic — paired
-/// comparison.
-///
-/// DEPRECATED (7-argument free function): this is now a thin wrapper that
-/// runs a single-stripe core::ValidationCampaign (validation_campaign.h)
-/// — bit-identical to the historical implementation.  New code should
-/// construct a ValidationCampaign directly: it exposes the work-unit
-/// surface (make_stripes / run_stripe / merge) that sharded execution,
-/// the benches, and dist::CampaignDriver build on, and its
-/// CampaignResult carries the degraded-mode bookkeeping this signature
-/// cannot report.  The wrapper is kept for one release.
-SystemRates estimate_rates(const encounter::StatisticalEncounterModel& model,
-                           const MonteCarloConfig& config, const std::string& system_name,
-                           const sim::CasFactory& own_cas, const sim::CasFactory& intruder_cas,
-                           ThreadPool* pool = nullptr);
 
 /// risk_ratio's return value when the ratio is undefined because the
 /// unequipped baseline recorded zero NMACs (0/0 traffic — nothing to

@@ -110,7 +110,7 @@ StripeResult ValidationCampaign::run_stripe(const EncounterStripe& stripe,
         sim::run_encounter(sim_config, std::move(own), std::move(intruder), sim_seed);
 
     if (result.nmac) ++local.nmacs;
-    if (result.own.ever_alerted || result.intruder.ever_alerted) ++local.alerts;
+    if (result.agents[0].ever_alerted || result.agents[1].ever_alerted) ++local.alerts;
     local.sep_sum += result.proximity.min_distance_m;
     local.wall_s += result.wall_time_s;
   };

@@ -1,10 +1,8 @@
-// The campaign/work-unit surface of Monte-Carlo validation (§IV) — the
-// primary entry point since PR 9; estimate_rates() is a single-stripe
-// campaign over the same kernel.
+// The campaign/work-unit surface of Monte-Carlo validation (§IV): the one
+// entry point for estimating rates.
 //
 // A campaign is a fixed grid of CANONICAL ACCUMULATOR CELLS: cell c owns
-// the contiguous encounter indices [c*E/C, (c+1)*E/C) with C =
-// min(E, 64), exactly the striping the pre-campaign estimate_rates used.
+// the contiguous encounter indices [c*E/C, (c+1)*E/C) with C = min(E, 64).
 // Every execution — serial, thread-pooled, or sharded across processes —
 // accumulates each cell's partial (NMAC/alert counts, separation and
 // wall-clock sums) serially in index order, and a merge combines the
@@ -60,9 +58,8 @@ struct StripeResult {
 };
 
 /// A finished campaign.  `rates` is bit-identical to the single-process
-/// estimate_rates run whenever every stripe ran to completion (the
-/// degraded path re-runs lost stripes, which preserves this — see
-/// dist::CampaignDriver).
+/// run() whenever every stripe ran to completion (the degraded path
+/// re-runs lost stripes, which preserves this — see dist::CampaignDriver).
 struct CampaignResult {
   SystemRates rates;
   std::size_t work_units = 0;  ///< stripes merged
@@ -112,8 +109,7 @@ class ValidationCampaign {
   /// Accumulation walks cells in index order — the bit-identity contract.
   SystemRates merge(const std::vector<StripeResult>& results) const;
 
-  /// The whole campaign as a single stripe + merge — what
-  /// estimate_rates() wraps.
+  /// The whole campaign as a single stripe + merge.
   CampaignResult run(ThreadPool* pool = nullptr) const;
 
  private:

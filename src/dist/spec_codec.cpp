@@ -79,9 +79,7 @@ void encode_sim_config(ByteWriter& out, const sim::SimConfig& s) {
   out.u64(s.threat_gate.max_threats);
   out.f64(s.threat_gate.blocking_vertical_m);
   out.f64(s.threat_gate.assumed_rate_mps);
-  out.u8(static_cast<std::uint8_t>(s.airspace.index_mode));
   out.f64(s.airspace.interaction_radius_m);
-  out.u8(s.airspace.adaptive_timers ? 1 : 0);
   out.u8(s.record_trajectory ? 1 : 0);
   out.u64(static_cast<std::uint64_t>(s.record_every_n));
 }
@@ -120,13 +118,7 @@ sim::SimConfig decode_sim_config(ByteReader& in) {
   s.threat_gate.max_threats = static_cast<std::size_t>(in.u64());
   s.threat_gate.blocking_vertical_m = in.f64();
   s.threat_gate.assumed_rate_mps = in.f64();
-  const std::uint8_t index_mode = in.u8();
-  if (index_mode > static_cast<std::uint8_t>(sim::IndexMode::kAllPairs)) {
-    throw ProtocolError("bad airspace index mode");
-  }
-  s.airspace.index_mode = static_cast<sim::IndexMode>(index_mode);
   s.airspace.interaction_radius_m = in.f64();
-  s.airspace.adaptive_timers = in.u8() != 0;
   s.record_trajectory = in.u8() != 0;
   s.record_every_n = static_cast<int>(in.u64());
   return s;

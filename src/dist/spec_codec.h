@@ -50,7 +50,7 @@ struct CasSpec {
 
 /// Build the factory a spec describes (mmap'ing its images).  Throws
 /// serving::TableIoError on unreadable/mismatched images.  Returns an
-/// empty factory for kUnequipped — the same convention estimate_rates
+/// empty factory for kUnequipped — the same convention ValidationCampaign
 /// uses for unequipped flight.
 sim::CasFactory materialize_cas(const CasSpec& spec);
 

@@ -61,7 +61,9 @@ enum class MsgType : std::uint32_t {
   kWorkerError = 14,    ///< human-readable failure; worker exits after
 };
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Raised whenever a payload encoding changes, so a worker built from other
+/// sources is refused at hello instead of mis-decoding a spec.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 struct Frame {
   MsgType type = MsgType::kShutdown;

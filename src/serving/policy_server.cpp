@@ -1,8 +1,6 @@
 #include "serving/policy_server.h"
 
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include "serving/kernel.h"
 #include "util/expect.h"
@@ -32,7 +30,7 @@ void with_view(const ValueSlabs& slabs, Fn&& fn) {
 
 template <class View>
 void eval_pair_range(const View& view, const GridN<3>& grid, std::size_t tau_max,
-                     std::span<const TrackQuery> queries, AdvisoryCosts* out,
+                     std::span<const TrackQuery> queries, std::span<AdvisoryCosts> out,
                      std::size_t begin, std::size_t end) {
   for (std::size_t k = begin; k < end; ++k) {
     const TrackQuery& q = queries[k];
@@ -44,7 +42,7 @@ void eval_pair_range(const View& view, const GridN<3>& grid, std::size_t tau_max
 
 template <class View>
 void eval_joint_range(const View& view, const GridN<4>& grid, const acasx::JointConfig& config,
-                      std::span<const JointTrackQuery> queries, AdvisoryCosts* out,
+                      std::span<const JointTrackQuery> queries, std::span<AdvisoryCosts> out,
                       std::size_t begin, std::size_t end) {
   const std::size_t layers = config.space.tau_max + 1;
   for (std::size_t k = begin; k < end; ++k) {
@@ -59,64 +57,16 @@ void eval_joint_range(const View& view, const GridN<4>& grid, const acasx::Joint
   }
 }
 
-/// Sort query indices by locality key so neighbouring evaluations touch
-/// neighbouring table bytes.  Stable: equal keys keep input order.
-///
-/// The hot path packs (key, index) into one u64 and sorts the packed
-/// vector — a contiguous u64 sort costs a fraction of an index sort that
-/// chases the key array through the comparator, and the index in the low
-/// bits makes the result stable without std::stable_sort.  Keys are flat
-/// table-cell indices, far below 2^40 for any table that fits in memory;
-/// the comparator fallback covers batches of 2^24+ queries.
-std::vector<std::uint32_t> sorted_order(const std::vector<std::uint64_t>& keys) {
-  const std::size_t n = keys.size();
-  std::vector<std::uint32_t> order(n);
-  constexpr std::uint64_t kIndexBits = 24;
-  if (n < (std::uint64_t{1} << kIndexBits) &&
-      *std::max_element(keys.begin(), keys.end()) < (std::uint64_t{1} << (64 - kIndexBits))) {
-    std::vector<std::uint64_t> packed(n);
-    for (std::size_t i = 0; i < n; ++i) packed[i] = (keys[i] << kIndexBits) | i;
-    std::sort(packed.begin(), packed.end());
-    for (std::size_t i = 0; i < n; ++i) {
-      order[i] = static_cast<std::uint32_t>(packed[i] & ((std::uint64_t{1} << kIndexBits) - 1));
-    }
-    return order;
+/// Evaluate [0, n) through `eval(begin, end)`, sharded across `pool` when
+/// one is given.  Each query writes only its own output slot, so the
+/// sharding is invisible in the results.
+template <class Eval>
+void run_batch(std::size_t n, ThreadPool* pool, const Eval& eval) {
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for_ranges(n, eval);
+  } else {
+    eval(0, n);
   }
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(),
-                   [&keys](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
-  return order;
-}
-
-/// Run one batch: optionally reorder by locality key, evaluate, scatter
-/// results back to input order.  The sorted path physically gathers the
-/// queries and evaluates the copy — measured ~2x faster than evaluating
-/// through an index indirection, because the reorder passes stream while
-/// indirect evaluation turns the query reads and result writes into
-/// random access alongside the table gathers.
-template <class Query, class Eval>
-void run_batch(std::span<const Query> queries, std::span<AdvisoryCosts> out,
-               const BatchOptions& options, const std::vector<std::uint64_t>& keys,
-               Eval&& eval) {
-  const std::size_t n = queries.size();
-  const auto eval_all = [&](std::span<const Query> q, AdvisoryCosts* o) {
-    if (options.pool != nullptr && n > 1) {
-      options.pool->parallel_for_ranges(
-          n, [&](std::size_t begin, std::size_t end) { eval(q, o, begin, end); });
-    } else {
-      eval(q, o, 0, n);
-    }
-  };
-  if (keys.empty()) {
-    eval_all(queries, out.data());
-    return;
-  }
-  const std::vector<std::uint32_t> order = sorted_order(keys);
-  std::vector<Query> gathered(n);
-  for (std::size_t k = 0; k < n; ++k) gathered[k] = queries[order[k]];
-  std::vector<AdvisoryCosts> gathered_out(n);
-  eval_all(gathered, gathered_out.data());
-  for (std::size_t k = 0; k < n; ++k) out[order[k]] = gathered_out[k];
 }
 
 }  // namespace
@@ -203,62 +153,25 @@ PolicyServer PolicyServer::open(const std::string& pairwise_path,
 }
 
 void PolicyServer::query_batch(std::span<const TrackQuery> queries, std::span<AdvisoryCosts> out,
-                               const BatchOptions& options) const {
+                               ThreadPool* pool) const {
   expect(queries.size() == out.size(), "query and result spans are the same length");
-  const std::size_t n = queries.size();
-  if (n == 0) return;
-
-  std::vector<std::uint64_t> keys;
-  if (options.should_sort() && n > 1) {
-    keys.resize(n);
-    const std::size_t grid_size = pair_grid_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const TrackQuery& q = queries[i];
-      const TauBracket t = bracket_tau(q.tau_s, pair_config_.space.tau_max);
-      keys[i] = t.lo * grid_size + pair_grid_.cell_index({q.h_ft, q.dh_own_fps, q.dh_int_fps});
-    }
-  }
-
+  if (queries.empty()) return;
   with_view(pair_slabs_, [&](const auto& view) {
-    run_batch(queries, out, options, keys,
-              [&](std::span<const TrackQuery> q, AdvisoryCosts* o, std::size_t begin,
-                  std::size_t end) {
-                eval_pair_range(view, pair_grid_, pair_config_.space.tau_max, q, o, begin, end);
-              });
+    run_batch(queries.size(), pool, [&](std::size_t begin, std::size_t end) {
+      eval_pair_range(view, pair_grid_, pair_config_.space.tau_max, queries, out, begin, end);
+    });
   });
 }
 
 void PolicyServer::query_batch(std::span<const JointTrackQuery> queries,
-                               std::span<AdvisoryCosts> out,
-                               const BatchOptions& options) const {
+                               std::span<AdvisoryCosts> out, ThreadPool* pool) const {
   expect(has_joint(), "server has a joint table");
   expect(queries.size() == out.size(), "query and result spans are the same length");
-  const std::size_t n = queries.size();
-  if (n == 0) return;
-
-  std::vector<std::uint64_t> keys;
-  if (options.should_sort() && n > 1) {
-    keys.resize(n);
-    const std::size_t grid_size = joint_grid_.size();
-    const std::size_t layers = joint_config_.space.tau_max + 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      const JointTrackQuery& q = queries[i];
-      const std::size_t db = joint_config_.secondary.delta_bin(q.delta_s);
-      const std::size_t slab = joint_config_.slab_index(db, q.sense);
-      const TauBracket t = bracket_tau(
-          (q.tau1_s + joint_config_.secondary.delta_value_s(db)) / joint_config_.dynamics.dt_s,
-          joint_config_.space.tau_max);
-      keys[i] = (slab * layers + t.lo) * grid_size +
-                joint_grid_.cell_index({q.h1_ft, q.dh_own_fps, q.dh_int1_fps, q.h2_ft});
-    }
-  }
-
+  if (queries.empty()) return;
   with_view(joint_slabs_, [&](const auto& view) {
-    run_batch(queries, out, options, keys,
-              [&](std::span<const JointTrackQuery> q, AdvisoryCosts* o, std::size_t begin,
-                  std::size_t end) {
-                eval_joint_range(view, joint_grid_, joint_config_, q, o, begin, end);
-              });
+    run_batch(queries.size(), pool, [&](std::size_t begin, std::size_t end) {
+      eval_joint_range(view, joint_grid_, joint_config_, queries, out, begin, end);
+    });
   });
 }
 

@@ -4,11 +4,9 @@
 // JointLogicTable behind a unified query API:
 //
 //   * query_batch() takes a span of queries and fills a span of per-query
-//     advisory-cost vectors.  Queries are (optionally) bucketed by
-//     (tau layer, grid cell) before evaluation so neighbouring states hit
-//     the same cache lines, and the batch can be sharded across a
-//     ThreadPool.  Results are written to out[i] for query i regardless
-//     of processing order, so sorting and sharding are invisible.
+//     advisory-cost vectors, evaluating them in input order, optionally
+//     sharded across a ThreadPool.  Query i writes only out[i], so
+//     sharding is invisible in the results.
 //   * action_costs() is batch-of-one over the exact same kernel, which is
 //     also the kernel behind LogicTable::action_costs — the single-query
 //     and batched paths are bit-identical by construction (asserted in
@@ -25,7 +23,7 @@
 //     LogicTable API promises float values.
 #pragma once
 
-#include <cstdint>
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,34 +63,6 @@ struct AdvisoryCosts {
   std::array<double, acasx::kNumAdvisories> costs{};
 };
 
-/// Whether to bucket queries by (tau layer, grid cell) before evaluation.
-enum class CellSort : std::uint8_t {
-  /// Decide from the pool size: the sequential sort only pays for itself
-  /// when the sorted layout feeds two or more workers perfectly-local
-  /// shards (ROADMAP item 1's measured break-even); single-threaded
-  /// evaluation is faster in input order.
-  kAuto,
-  kOn,
-  kOff,
-};
-
-struct BatchOptions {
-  /// Bucket queries by (tau layer, grid cell) before evaluation.  kOff
-  /// evaluates the batch in input order (useful for measuring the
-  /// locality win, bench_policy_server --no-sort); kAuto applies the
-  /// pool-size heuristic of `should_sort()`.
-  CellSort sort_by_cell = CellSort::kAuto;
-  /// Shard the batch across a pool.  Results are identical with or
-  /// without a pool (each query writes only its own output slot).
-  ThreadPool* pool = nullptr;
-
-  /// The resolved sort decision — the heuristic tests pin.
-  bool should_sort() const {
-    if (sort_by_cell != CellSort::kAuto) return sort_by_cell == CellSort::kOn;
-    return pool != nullptr && pool->thread_count() >= 2;
-  }
-};
-
 class PolicyServer {
  public:
   /// Serve in-memory (or mapped) tables.  `joint` may be null: joint
@@ -107,13 +77,14 @@ class PolicyServer {
   static PolicyServer open(const std::string& pairwise_path,
                            const std::string& joint_path = std::string());
 
-  /// Evaluate `queries[i]` into `out[i]` for all i.  Spans must be the
-  /// same length.  Bit-identical to calling action_costs per query, in
-  /// any processing order.
+  /// Evaluate `queries[i]` into `out[i]` for all i, in input order,
+  /// sharded across `pool` when one is given.  Spans must be the same
+  /// length.  Bit-identical to calling action_costs per query, with or
+  /// without a pool.
   void query_batch(std::span<const TrackQuery> queries, std::span<AdvisoryCosts> out,
-                   const BatchOptions& options = {}) const;
+                   ThreadPool* pool = nullptr) const;
   void query_batch(std::span<const JointTrackQuery> queries, std::span<AdvisoryCosts> out,
-                   const BatchOptions& options = {}) const;
+                   ThreadPool* pool = nullptr) const;
 
   /// Batch-of-one conveniences over the same kernel.
   void action_costs(const TrackQuery& query,

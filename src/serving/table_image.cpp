@@ -252,13 +252,4 @@ std::span<const std::byte> TableImage::slab(std::string_view name) const {
   return {base_ + e->offset, e->bytes};
 }
 
-std::uint32_t peek_magic(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  std::uint32_t magic = 0;
-  const bool ok = std::fread(&magic, sizeof magic, 1, f) == 1;
-  std::fclose(f);
-  return ok ? magic : 0;
-}
-
 }  // namespace cav::serving

@@ -20,8 +20,8 @@
 // image share one physical copy of the payload through the page cache,
 // which is what makes the 329 MB joint Q deployable fleet-wide.
 //
-// Endianness: fields and payloads are stored in host byte order like the
-// legacy format before it (the fleet is homogeneous little-endian).
+// Endianness: fields and payloads are stored in host byte order (the
+// fleet is homogeneous little-endian).
 #pragma once
 
 #include <cstddef>
@@ -178,10 +178,6 @@ class TableImage {
   std::size_t map_bytes_ = 0;
   std::vector<Entry> entries_;
 };
-
-/// First four bytes of a file, or 0 when unreadable — how LogicTable::load
-/// dispatches between the legacy formats and TableImage.
-std::uint32_t peek_magic(const std::string& path);
 
 /// The container magic ("CAVT" little-endian).
 inline constexpr std::uint32_t kTableImageMagic = 0x54564143;

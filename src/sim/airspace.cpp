@@ -76,8 +76,7 @@ Airspace::Airspace(const AirspaceConfig& config, std::size_t num_agents)
 
 void Airspace::rebuild(const std::vector<Vec3>& positions) {
   expect(positions.size() == num_agents_, "airspace rebuild position count");
-  const bool dense = all_pairs() || !std::isfinite(config_.interaction_radius_m);
-  if (dense) {
+  if (!std::isfinite(config_.interaction_radius_m)) {
     // Dense adjacency never changes; materialize it once.
     if (built_) return;
     near_pairs_.clear();

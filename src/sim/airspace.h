@@ -6,18 +6,18 @@
 //
 // Equivalence contract (asserted by tests/test_sim_equivalence.cpp):
 //
-//   * `AirspaceConfig::legacy()` — index forced to all-pairs, adaptive
-//     timers off — reproduces the pre-refactor fixed-dt engine bit for
-//     bit: every RNG draw, monitor update, and coordination delivery
-//     happens in the same order with the same operands.
-//   * The default config (grid index, 25 km interaction radius, adaptive
-//     timers) is bit-identical to legacy() whenever every aircraft pair
-//     stays within the interaction radius for the whole run — true of
-//     every existing K≤8 scenario, whose geometry spans a few km.  Beyond
-//     the radius the model changes deliberately: ADS-B reception has a
-//     finite range, so far traffic is unseen (tracks drop), unseen
-//     aircraft fly their flight plan on coarse steps, and their pair
-//     monitors do not materialize.
+//   * `AirspaceConfig::legacy()` — an infinite interaction radius, which
+//     makes every pair near — reproduces the pre-refactor dense fixed-dt
+//     engine bit for bit: every RNG draw, monitor update, and coordination
+//     delivery happens in the same order with the same operands.
+//   * The default config (grid index, 25 km interaction radius) is
+//     bit-identical to legacy() whenever every aircraft pair stays within
+//     the interaction radius for the whole run — true of every existing
+//     K≤8 scenario, whose geometry spans a few km.  Beyond the radius the
+//     model changes deliberately: ADS-B reception has a finite range, so
+//     far traffic is unseen (tracks drop), unseen aircraft fly their
+//     flight plan on coarse steps, and their pair monitors do not
+//     materialize.
 #pragma once
 
 #include <cstddef>
@@ -33,11 +33,6 @@
 #include "util/vec3.h"
 
 namespace cav::sim {
-
-enum class IndexMode : std::uint8_t {
-  kGrid,      ///< uniform hash grid; near = horizontal distance <= radius
-  kAllPairs,  ///< every pair is near (the pre-refactor dense engine)
-};
 
 /// Parallel logical-process execution (ROADMAP item 3).  The airspace is
 /// partitioned into `num_lps` logical processes — grid-column stripes of
@@ -85,27 +80,26 @@ inline std::pair<std::size_t, std::size_t> lp_index_range(int lp, int num_lps, s
 }
 
 struct AirspaceConfig {
-  IndexMode index_mode = IndexMode::kGrid;
   /// Horizontal ADS-B reception / interaction radius.  Pairs farther apart
   /// than this exchange no surveillance or coordination and are not
-  /// monitored.  The 25 km default exceeds the span of every legacy
-  /// scenario (encounter geometry tops out near 12 km), so the default
-  /// engine reproduces all existing results exactly; city-scale scenarios
-  /// override it downward to realistic reception ranges.
+  /// monitored, and agents with no aircraft inside it integrate one coarse
+  /// step per decision period instead of densifying to the physics dt
+  /// (their OU disturbance draws coarsen accordingly).  The 25 km default
+  /// exceeds the span of every legacy scenario (encounter geometry tops
+  /// out near 12 km), so the default engine reproduces all existing
+  /// results exactly; city-scale scenarios override it downward to
+  /// realistic reception ranges.  An infinite radius selects the dense
+  /// all-pairs engine: every pair is near and the grid is never built.
   double interaction_radius_m = 25000.0;
-  /// Agents with no aircraft inside the interaction radius integrate one
-  /// coarse step per decision period instead of densifying to the physics
-  /// dt.  Their OU disturbance draws coarsen accordingly (the documented
-  /// divergence — only ever engaged beyond the interaction radius).
-  bool adaptive_timers = true;
   /// Logical-process parallelism.  The default {1, nullptr} is the serial
   /// engine; any other setting is bit-identical to it (see LpConfig).
   LpConfig parallel;
 
-  /// The pre-refactor engine: dense pairing, fixed dt everywhere.
-  static AirspaceConfig legacy() {
-    return {IndexMode::kAllPairs, std::numeric_limits<double>::infinity(), false, {}};
-  }
+  /// The pre-refactor engine: dense pairing, fixed dt everywhere (with
+  /// every pair near, every agent always has a neighbour and so never
+  /// takes a coarse step).  The brute-force oracle of the equivalence
+  /// tests and the E16 comparison row.
+  static AirspaceConfig legacy() { return {std::numeric_limits<double>::infinity(), {}}; }
 };
 
 /// Uniform hash grid over horizontal (x, y) position with cell size equal
@@ -152,13 +146,14 @@ class SpatialHashGrid {
 
 /// The airspace view the simulation consults once per decision cycle:
 /// which unordered pairs are near, and each agent's sorted neighbor list.
-/// In kAllPairs mode every pair is near and the grid is never built.
+/// With an infinite interaction radius every pair is near and the grid is
+/// never built.
 ///
-/// With config.parallel.num_lps > 1 (grid mode only), rebuild() fans the
-/// pair collection out across logical processes — each LP walks the grid
-/// columns it owns — and merges the per-LP lists back into the canonical
-/// lexicographic order with one sort, so near_pairs()/neighbors_of() are
-/// bit-identical to the serial rebuild for any LP count.
+/// With config.parallel.num_lps > 1 (finite radius only), rebuild() fans
+/// the pair collection out across logical processes — each LP walks the
+/// grid columns it owns — and merges the per-LP lists back into the
+/// canonical lexicographic order with one sort, so near_pairs() and
+/// neighbors_of() are bit-identical to the serial rebuild for any LP count.
 class Airspace {
  public:
   Airspace(const AirspaceConfig& config, std::size_t num_agents);
@@ -167,7 +162,6 @@ class Airspace {
   void rebuild(const std::vector<Vec3>& positions);
 
   const AirspaceConfig& config() const { return config_; }
-  bool all_pairs() const { return config_.index_mode == IndexMode::kAllPairs; }
 
   /// Near pairs (i < j) in lexicographic order.
   const std::vector<std::pair<int, int>>& near_pairs() const { return near_pairs_; }

@@ -47,15 +47,6 @@ std::size_t PairwiseMonitors::find_or_create(std::size_t i, std::size_t j) {
   return it->second;
 }
 
-void PairwiseMonitors::activate_all_pairs() {
-  active_.clear();
-  for (std::size_t i = 0; i + 1 < num_agents_; ++i) {
-    for (std::size_t j = i + 1; j < num_agents_; ++j) {
-      active_.push_back(find_or_create(i, j));
-    }
-  }
-}
-
 std::size_t PairwiseMonitors::set_active_pairs(const std::vector<std::pair<int, int>>& pairs) {
   const std::size_t before = slots_.size();
   active_.clear();

@@ -95,18 +95,15 @@ class AccidentDetector {
 /// Monitor slots materialize lazily: the simulation declares each decision
 /// cycle's near-pair set (`set_active_pairs`, from the spatial index) and
 /// only those pairs are allocated and updated, so memory and per-step cost
-/// follow the near-pair count instead of K².  `activate_all_pairs()`
-/// restores the dense pre-refactor bank: every pair is materialized in
-/// lexicographic order, which also fixes the float-aggregation order of
-/// `aggregate_proximity` to the legacy one (first pair wins ties).
-/// Aggregates and `pair_agents` iterate slots sorted by (i, j), so results
-/// are deterministic regardless of activation chronology.
+/// follow the near-pair count instead of K².  Declaring every pair in
+/// lexicographic order (the dense index's near-pair list) restores the
+/// pre-refactor bank, including the float-aggregation order of
+/// `aggregate_proximity` (first pair wins ties).  Aggregates and
+/// `pair_agents` iterate slots sorted by (i, j), so results are
+/// deterministic regardless of activation chronology.
 class PairwiseMonitors {
  public:
   PairwiseMonitors(std::size_t num_agents, const AccidentConfig& config);
-
-  /// Materialize every pair (i < j, lexicographic) and mark them active.
-  void activate_all_pairs();
 
   /// Declare this cycle's update set.  Unseen pairs are materialized (the
   /// caller should `update_new` them at the activation time); pairs that

@@ -313,20 +313,7 @@ void Simulation::decide_all(double t_s) {
 }
 
 void Simulation::record_sample(double t_s, SimResult& result) const {
-  const AgentRuntime& a = runtimes_[0];
-  const AgentRuntime& b = runtimes_[1];
-  TrajectorySample s;
-  s.t_s = t_s;
-  s.own_position_m = a.agent.state().position_m;
-  s.intruder_position_m = b.agent.state().position_m;
-  s.own_vs_mps = a.agent.state().vertical_speed_mps;
-  s.intruder_vs_mps = b.agent.state().vertical_speed_mps;
-  s.own_advisory = a.current_label;
-  s.intruder_advisory = b.current_label;
-  s.separation_m = distance(a.agent.state().position_m, b.agent.state().position_m);
-  result.trajectory.push_back(std::move(s));
-
-  MultiTrajectorySample m;
+  MultiTrajectoryFrame m;
   m.t_s = t_s;
   m.position_m.reserve(runtimes_.size());
   m.vs_mps.reserve(runtimes_.size());
@@ -336,7 +323,7 @@ void Simulation::record_sample(double t_s, SimResult& result) const {
     m.vs_mps.push_back(r.agent.state().vertical_speed_mps);
     m.advisory.push_back(r.current_label);
   }
-  result.multi_trajectory.push_back(std::move(m));
+  result.trajectory.push_back(std::move(m));
 }
 
 void Simulation::refresh_positions(bool active_only) {
@@ -393,8 +380,7 @@ void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
   // 5. Recompute the active set: an agent densifies to the physics dt
   //    while anyone is inside its interaction radius.
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
-    runtimes_[i].active =
-        !config_.airspace.adaptive_timers || !airspace_.neighbors_of(i).empty();
+    runtimes_[i].active = !airspace_.neighbors_of(i).empty();
   }
 }
 
@@ -511,8 +497,6 @@ SimResult Simulation::run() {
   }
   result.agents.reserve(runtimes_.size());
   for (const AgentRuntime& r : runtimes_) result.agents.push_back(r.report);
-  result.own = result.agents[0];
-  result.intruder = result.agents[1];
   result.elapsed_s = t;
   result.stats.monitored_pairs = monitors_.num_pairs();
   result.wall_time_s =

@@ -76,9 +76,9 @@ struct SimConfig {
   ThreatPolicy threat_policy = ThreatPolicy::kNearest;
   ThreatGateConfig threat_gate;   ///< only read under kCostFused/kJointTable
   /// Spatial index + adaptive-timer configuration (airspace.h).  The
-  /// default (grid, 25 km radius, adaptive) reproduces every legacy
-  /// scenario exactly because their geometry never spans the radius;
-  /// `AirspaceConfig::legacy()` forces the dense fixed-dt engine.
+  /// default 25 km radius reproduces every legacy scenario exactly because
+  /// their geometry never spans it; `AirspaceConfig::legacy()` (infinite
+  /// radius) selects the dense fixed-dt engine.
   AirspaceConfig airspace;
   bool record_trajectory = false; ///< keep per-decision-cycle samples
   /// Record every Nth decision-cycle sample (1 = every cycle, the
@@ -128,9 +128,9 @@ struct SimResult {
   bool nmac = false;          ///< any pair penetrated the NMAC cylinder
   double nmac_time_s = -1.0;  ///< earliest penetration across pairs
   bool hard_collision = false;
-  AgentReport own;            ///< agents[0], mirrored for the pairwise API
-  AgentReport intruder;       ///< agents[1], mirrored for the pairwise API
-  std::vector<AgentReport> agents;  ///< one per aircraft, in setup order
+  /// One per aircraft, in setup order: agents[0] is the own-ship and, in a
+  /// pairwise encounter, agents[1] the intruder.
+  std::vector<AgentReport> agents;
   /// Monitored pairs, sorted by (a, b).  Under the dense/legacy index this
   /// is every pair; under the grid index only pairs that ever came within
   /// the interaction radius materialize.
@@ -139,9 +139,7 @@ struct SimResult {
   double wall_time_s = 0.0;  ///< host wall clock consumed by run(); not
                              ///< part of the determinism contract
   SimStats stats;
-  Trajectory trajectory;            ///< own vs first intruder (legacy view);
-                                    ///< empty unless record_trajectory
-  MultiTrajectory multi_trajectory; ///< all aircraft; same sampling
+  MultiTrajectory trajectory;  ///< all aircraft; empty unless record_trajectory
 
   /// The fitness distance d_k of the paper (§VII): 0 on a mid-air
   /// collision, otherwise the minimum 3-D separation over the run.
@@ -209,7 +207,7 @@ struct AgentRuntime {
   /// Adaptive-timer state: an active agent (some aircraft inside its
   /// interaction radius) integrates at the physics dt; an inactive one
   /// takes a single catch-up step per decision period.  Always active
-  /// when adaptive timers are off.
+  /// under the dense index, where every other aircraft is a neighbour.
   bool active = true;
   double last_step_t_s = 0.0;  ///< simulation time this agent is integrated to
 };

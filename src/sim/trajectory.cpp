@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/csv.h"
+#include "util/expect.h"
 
 namespace cav::sim {
 namespace {
@@ -38,16 +39,25 @@ void plot_point(std::vector<std::string>& canvas, const Bounds& b, double x, dou
   canvas[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] = glyph;
 }
 
-std::string render(const Trajectory& traj, int width, int height, bool top_view) {
+/// The pairwise views read aircraft 0 (own-ship) and 1 of every frame.
+void expect_pair(const MultiTrajectoryFrame& s) {
+  expect(s.position_m.size() >= 2 && s.vs_mps.size() >= 2 && s.advisory.size() >= 2,
+         "trajectory sample holds aircraft 0 and 1");
+}
+
+std::string render(const MultiTrajectory& traj, int width, int height, bool top_view) {
   if (traj.empty()) return "(empty trajectory)\n";
   Bounds b;
   for (const auto& s : traj) {
+    expect_pair(s);
+    const Vec3& own = s.position_m[0];
+    const Vec3& intr = s.position_m[1];
     if (top_view) {
-      b.include(s.own_position_m.x, s.own_position_m.y);
-      b.include(s.intruder_position_m.x, s.intruder_position_m.y);
+      b.include(own.x, own.y);
+      b.include(intr.x, intr.y);
     } else {
-      b.include(s.t_s, s.own_position_m.z);
-      b.include(s.t_s, s.intruder_position_m.z);
+      b.include(s.t_s, own.z);
+      b.include(s.t_s, intr.z);
     }
   }
   b.pad();
@@ -55,14 +65,16 @@ std::string render(const Trajectory& traj, int width, int height, bool top_view)
   std::vector<std::string> canvas(static_cast<std::size_t>(height),
                                   std::string(static_cast<std::size_t>(width), ' '));
   for (const auto& s : traj) {
-    const char own = (s.own_advisory != "COC") ? 'O' : 'o';
-    const char intr = (s.intruder_advisory != "COC") ? 'I' : 'i';
+    const Vec3& own = s.position_m[0];
+    const Vec3& intr = s.position_m[1];
+    const char own_glyph = (s.advisory[0] != "COC") ? 'O' : 'o';
+    const char intr_glyph = (s.advisory[1] != "COC") ? 'I' : 'i';
     if (top_view) {
-      plot_point(canvas, b, s.own_position_m.x, s.own_position_m.y, own);
-      plot_point(canvas, b, s.intruder_position_m.x, s.intruder_position_m.y, intr);
+      plot_point(canvas, b, own.x, own.y, own_glyph);
+      plot_point(canvas, b, intr.x, intr.y, intr_glyph);
     } else {
-      plot_point(canvas, b, s.t_s, s.own_position_m.z, own);
-      plot_point(canvas, b, s.t_s, s.intruder_position_m.z, intr);
+      plot_point(canvas, b, s.t_s, own.z, own_glyph);
+      plot_point(canvas, b, s.t_s, intr.z, intr_glyph);
     }
   }
 
@@ -79,23 +91,26 @@ std::string render(const Trajectory& traj, int width, int height, bool top_view)
 
 }  // namespace
 
-void write_trajectory_csv(const Trajectory& trajectory, const std::string& path) {
+void write_trajectory_csv(const MultiTrajectory& trajectory, const std::string& path) {
   CsvWriter csv(path);
   csv.header({"t_s", "own_x", "own_y", "own_z", "own_vs", "own_advisory", "int_x", "int_y",
               "int_z", "int_vs", "int_advisory", "separation_m"});
   for (const auto& s : trajectory) {
+    expect_pair(s);
+    const Vec3& own = s.position_m[0];
+    const Vec3& intr = s.position_m[1];
     csv.cell(s.t_s)
-        .cell(s.own_position_m.x)
-        .cell(s.own_position_m.y)
-        .cell(s.own_position_m.z)
-        .cell(s.own_vs_mps)
-        .cell(s.own_advisory)
-        .cell(s.intruder_position_m.x)
-        .cell(s.intruder_position_m.y)
-        .cell(s.intruder_position_m.z)
-        .cell(s.intruder_vs_mps)
-        .cell(s.intruder_advisory)
-        .cell(s.separation_m);
+        .cell(own.x)
+        .cell(own.y)
+        .cell(own.z)
+        .cell(s.vs_mps[0])
+        .cell(s.advisory[0])
+        .cell(intr.x)
+        .cell(intr.y)
+        .cell(intr.z)
+        .cell(s.vs_mps[1])
+        .cell(s.advisory[1])
+        .cell(distance(own, intr));
     csv.end_row();
   }
 }
@@ -117,11 +132,11 @@ void write_multi_trajectory_csv(const MultiTrajectory& trajectory, const std::st
   }
 }
 
-std::string render_top_view(const Trajectory& trajectory, int width, int height) {
+std::string render_top_view(const MultiTrajectory& trajectory, int width, int height) {
   return render(trajectory, width, height, /*top_view=*/true);
 }
 
-std::string render_side_view(const Trajectory& trajectory, int width, int height) {
+std::string render_side_view(const MultiTrajectory& trajectory, int width, int height) {
   return render(trajectory, width, height, /*top_view=*/false);
 }
 

@@ -145,14 +145,6 @@ class GridN {
     return n;
   }
 
-  /// Flat index of the lower-corner cell containing x (clamped) — the
-  /// locality key PolicyServer buckets batched queries by.
-  std::size_t cell_index(const std::array<double, N>& x) const {
-    std::size_t flat = 0;
-    for (std::size_t d = 0; d < N; ++d) flat += axes_[d].bracket(x[d]).index * strides_[d];
-    return flat;
-  }
-
   /// Multilinear interpolation of `values` (one value per vertex, flat
   /// row-major layout) at a continuous point.
   template <typename ValueContainer>

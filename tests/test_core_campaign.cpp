@@ -1,7 +1,7 @@
 // ValidationCampaign work-unit surface: stripe tiling, the N-shard merge
 // bit-identity contract (the property sharded execution stands on), the
-// estimate_rates compatibility wrapper, the risk-ratio sentinel/Wilson
-// API, and the fitness evaluators' matching evaluate_runs/merge surface.
+// risk-ratio sentinel/Wilson API, and the fitness evaluators' matching
+// evaluate_runs/merge surface.
 #include "core/validation_campaign.h"
 
 #include <gtest/gtest.h>
@@ -36,17 +36,15 @@ void expect_rates_identical(const SystemRates& a, const SystemRates& b) {
   EXPECT_EQ(a.mean_min_separation_m, b.mean_min_separation_m);
 }
 
-TEST(ValidationCampaignTest, EstimateRatesIsASingleStripeCampaign) {
+TEST(ValidationCampaignTest, RunIsASingleStripeCampaign) {
   const encounter::StatisticalEncounterModel model;
-  const auto config = small_config();
-  const SystemRates wrapper =
-      estimate_rates(model, config, "tcas", baselines::TcasLikeCas::factory(),
-                     baselines::TcasLikeCas::factory());
-
-  const ValidationCampaign campaign(model, config, "tcas", baselines::TcasLikeCas::factory(),
+  const ValidationCampaign campaign(model, small_config(), "tcas",
+                                    baselines::TcasLikeCas::factory(),
                                     baselines::TcasLikeCas::factory());
   const CampaignResult result = campaign.run();
-  expect_rates_identical(wrapper, result.rates);
+  const auto stripes = campaign.make_stripes(1);
+  ASSERT_EQ(stripes.size(), 1u);
+  expect_rates_identical(campaign.merge({campaign.run_stripe(stripes[0])}), result.rates);
   EXPECT_EQ(result.work_units, 1u);
   EXPECT_FALSE(result.degraded);
 }

@@ -6,18 +6,26 @@
 // The worker binary is resolved next to this test binary (both land in
 // the build root); the death tests drive the worker's env knobs
 // (CAV_WORKER_EXIT_AFTER_STRIPES / CAV_WORKER_HANG_AFTER_STRIPES), which
-// fork+exec'd children inherit from us.
+// fork+exec'd children inherit from us, and a shell-script stand-in plays
+// a worker that speaks another protocol version.
 #include "dist/campaign_driver.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/monte_carlo.h"
 #include "core/validation_campaign.h"
 #include "dist/spec_codec.h"
+#include "dist/wire.h"
 
 namespace cav::dist {
 namespace {
@@ -155,6 +163,46 @@ TEST(DistCampaignTest, UnspawnableWorkerBinaryFallsBackInProcess) {
   const core::CampaignResult result = run_sharded_campaign(spec, options);
   expect_rates_identical(result.rates, in_process_rates(spec));
   EXPECT_TRUE(result.degraded);
+}
+
+TEST(DistCampaignTest, StaleProtocolWorkerIsRefusedAtHello) {
+  // A worker built from other sources says hello with another protocol
+  // version and would then mis-decode the spec.  The driver must refuse it
+  // at hello, requeue its work, and still finish bit-identically.
+  const std::string hello_path = ::testing::TempDir() + "stale_worker_hello.bin";
+  {
+    const int fd = ::open(hello_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    ByteWriter hello;
+    hello.u32(kProtocolVersion - 1);
+    hello.u64(0);
+    write_frame(fd, MsgType::kHello, hello.bytes());
+    ::close(fd);
+  }
+  // Workers get their pipe fds as argv: $1 to read, $2 to write.
+  const std::string worker_path = ::testing::TempDir() + "stale_cav_worker.sh";
+  {
+    std::ofstream script(worker_path);
+    script << "#!/bin/sh\ncat '" << hello_path << "' > /proc/self/fd/$2\n"
+           << "exec cat /proc/self/fd/$1 > /dev/null\n";
+  }
+  ASSERT_EQ(::chmod(worker_path.c_str(), 0755), 0);
+
+  const CampaignSpec spec = small_spec(16);
+  CampaignDriverOptions options;
+  options.num_workers = 2;
+  options.max_respawns = 1;
+  options.stripe_deadline_s = 2.0;  // a driver that accepted the hello would wedge here
+  options.worker_path = worker_path;
+  const core::CampaignResult result = run_sharded_campaign(spec, options);
+  expect_rates_identical(result.rates, in_process_rates(spec));
+  EXPECT_TRUE(result.degraded);
+  const bool refused = std::any_of(result.notes.begin(), result.notes.end(), [](const auto& n) {
+    return n.find("protocol version mismatch") != std::string::npos;
+  });
+  EXPECT_TRUE(refused);
+  std::remove(worker_path.c_str());
+  std::remove(hello_path.c_str());
 }
 
 TEST(DistCampaignTest, MixedCasSpecsAcrossTheWire) {

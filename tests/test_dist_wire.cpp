@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -280,6 +281,17 @@ TEST(DistSpecCodecTest, CampaignSpecRoundTrip) {
   EXPECT_EQ(back.own_cas.pair_image, "/tmp/pair.img");
   EXPECT_EQ(back.own_cas.joint_image, "/tmp/joint.img");
   EXPECT_EQ(back.intruder_cas.kind, CasKind::kSvo);
+
+  // The interaction radius alone selects the airspace engine (+inf is the
+  // dense all-pairs one), so a finite radius and +inf must both survive.
+  for (const double radius : {2000.0, std::numeric_limits<double>::infinity()}) {
+    spec.config.sim.airspace.interaction_radius_m = radius;
+    ByteWriter wr;
+    encode_campaign_spec(wr, spec);
+    ByteReader rd(wr.bytes());
+    EXPECT_EQ(decode_campaign_spec(rd).config.sim.airspace.interaction_radius_m, radius);
+    EXPECT_NO_THROW(rd.expect_end());
+  }
 }
 
 // Truncation fuzz over a full campaign-spec payload: every prefix must

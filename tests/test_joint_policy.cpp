@@ -32,8 +32,8 @@ PolicyOutcome run_ring(const scenarios::Scenario& scenario, ThreatPolicy policy,
     config.threat_policy = policy;
     const SimResult r = scenarios::run_scenario(scenario, config, factory, factory, seed);
     if (r.own_nmac()) ++out.own_nmacs;
-    if (r.own.ever_alerted) ++out.alerted_encounters;
-    out.joint_cycles += r.own.resolver.joint_cycles;
+    if (r.agents[0].ever_alerted) ++out.alerted_encounters;
+    out.joint_cycles += r.agents[0].resolver.joint_cycles;
   }
   return out;
 }

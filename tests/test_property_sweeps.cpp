@@ -137,7 +137,7 @@ TEST_P(PropertySweepTest, SimulationInvariants) {
     const double dt = cur.t_s - prev.t_s;
     ASSERT_GT(dt, 0.0);
     // Max speed: generous bound from ground speed cap + vertical cap.
-    const double own_step = distance(cur.own_position_m, prev.own_position_m);
+    const double own_step = distance(cur.position_m[0], prev.position_m[0]);
     ASSERT_LT(own_step, (80.0 + 13.0) * dt + 1.0) << "own-ship teleported";
   }
 }

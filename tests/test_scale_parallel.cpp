@@ -66,19 +66,19 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b,
     EXPECT_EQ(a.agents[i].final_advisory, b.agents[i].final_advisory) << i;
   }
 
-  ASSERT_EQ(a.multi_trajectory.size(), b.multi_trajectory.size());
-  for (std::size_t s = 0; s < a.multi_trajectory.size(); ++s) {
-    ASSERT_EQ(a.multi_trajectory[s].t_s, b.multi_trajectory[s].t_s) << s;
-    ASSERT_EQ(a.multi_trajectory[s].position_m.size(), b.multi_trajectory[s].position_m.size());
-    for (std::size_t i = 0; i < a.multi_trajectory[s].position_m.size(); ++i) {
-      ASSERT_EQ(a.multi_trajectory[s].position_m[i].x, b.multi_trajectory[s].position_m[i].x)
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (std::size_t s = 0; s < a.trajectory.size(); ++s) {
+    ASSERT_EQ(a.trajectory[s].t_s, b.trajectory[s].t_s) << s;
+    ASSERT_EQ(a.trajectory[s].position_m.size(), b.trajectory[s].position_m.size());
+    for (std::size_t i = 0; i < a.trajectory[s].position_m.size(); ++i) {
+      ASSERT_EQ(a.trajectory[s].position_m[i].x, b.trajectory[s].position_m[i].x)
           << "sample " << s << " aircraft " << i;
-      ASSERT_EQ(a.multi_trajectory[s].position_m[i].y, b.multi_trajectory[s].position_m[i].y)
+      ASSERT_EQ(a.trajectory[s].position_m[i].y, b.trajectory[s].position_m[i].y)
           << "sample " << s << " aircraft " << i;
-      ASSERT_EQ(a.multi_trajectory[s].position_m[i].z, b.multi_trajectory[s].position_m[i].z)
+      ASSERT_EQ(a.trajectory[s].position_m[i].z, b.trajectory[s].position_m[i].z)
           << "sample " << s << " aircraft " << i;
-      ASSERT_EQ(a.multi_trajectory[s].vs_mps[i], b.multi_trajectory[s].vs_mps[i]) << s;
-      ASSERT_EQ(a.multi_trajectory[s].advisory[i], b.multi_trajectory[s].advisory[i]) << s;
+      ASSERT_EQ(a.trajectory[s].vs_mps[i], b.trajectory[s].vs_mps[i]) << s;
+      ASSERT_EQ(a.trajectory[s].advisory[i], b.trajectory[s].advisory[i]) << s;
     }
   }
 }

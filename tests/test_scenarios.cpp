@@ -106,7 +106,7 @@ TEST(ScenarioLibrary, DefaultEquipageIsBitIdenticalToPlainOverload) {
   const auto with_equipage = run_scenario(ring, config, {}, {}, 7, ScenarioEquipage{});
   EXPECT_EQ(plain.nmac, with_equipage.nmac);
   EXPECT_DOUBLE_EQ(plain.proximity.min_distance_m, with_equipage.proximity.min_distance_m);
-  EXPECT_EQ(plain.own.alert_cycles, with_equipage.own.alert_cycles);
+  EXPECT_EQ(plain.agents[0].alert_cycles, with_equipage.agents[0].alert_cycles);
 }
 
 TEST(ScenarioLibrary, ZeroEquipageStripsEveryIntruderCas) {

@@ -2,8 +2,8 @@
 // load / mmap paths built on it: save -> load round-trips are bit
 // identical for both tables, mapped views serve the same bytes zero-copy,
 // corruption is caught by the payload checksum, TableIoError carries a
-// machine-checkable (op, reason, path), and the deprecated legacy format
-// still loads for one release.
+// machine-checkable (op, reason, path), and the pre-serving ACX1/JTX1
+// formats are rejected.
 #include "serving/table_image.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "acasx/joint_solver.h"
 #include "acasx/logic_table.h"
@@ -189,47 +190,79 @@ TEST_F(ServingImageTest, QuantizedImagesLoadViaDequantization) {
   }
 }
 
-TEST_F(ServingImageTest, LegacyFormatLoadsForOneRelease) {
-  // Hand-write the deprecated "ACX1" stream (axis triples, tau_max,
-  // dynamics, costs, count, payload) and check the deprecation shim reads
-  // it bit for bit.
-  const std::string path = temp_path("serving_pair_legacy.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint32_t magic = 0x41435831;  // "ACX1"
-    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-    const auto& c = pair_->config();
-    const auto write_axis = [&out](const UniformAxis& axis) {
-      const double lo = axis.lo();
-      const double hi = axis.hi();
-      const std::uint64_t count = axis.count();
-      out.write(reinterpret_cast<const char*>(&lo), sizeof lo);
-      out.write(reinterpret_cast<const char*>(&hi), sizeof hi);
-      out.write(reinterpret_cast<const char*>(&count), sizeof count);
-    };
-    write_axis(c.space.h_ft);
-    write_axis(c.space.dh_own_fps);
-    write_axis(c.space.dh_int_fps);
-    const std::uint64_t tau_max = c.space.tau_max;
-    out.write(reinterpret_cast<const char*>(&tau_max), sizeof tau_max);
-    const double dyn[4] = {c.dynamics.dt_s, c.dynamics.accel_initial_fps2,
-                           c.dynamics.accel_strength_fps2, c.dynamics.accel_noise_sigma_fps2};
-    out.write(reinterpret_cast<const char*>(dyn), sizeof dyn);
-    const double costs[8] = {c.costs.nmac_cost,          c.costs.nmac_h_ft,
-                             c.costs.maneuver_cost,      c.costs.strengthened_maneuver_cost,
-                             c.costs.level_reward,       c.costs.strengthen_cost,
-                             c.costs.reversal_cost,      c.costs.termination_cost};
-    out.write(reinterpret_cast<const char*>(costs), sizeof costs);
-    const std::uint64_t n = pair_->raw().size();
-    out.write(reinterpret_cast<const char*>(&n), sizeof n);
-    out.write(reinterpret_cast<const char*>(pair_->raw().data()),
-              static_cast<std::streamsize>(n * sizeof(float)));
+// Writers for the pre-serving ad-hoc streams: raw host-order fields, an
+// axis as (lo, hi, count), and a tail of dynamics, costs, value count and
+// payload shared by both table kinds.
+template <class T>
+void put(std::ofstream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+void put_axis(std::ofstream& out, const UniformAxis& axis) {
+  put(out, axis.lo());
+  put(out, axis.hi());
+  put(out, std::uint64_t{axis.count()});
+}
+
+template <class Config>
+void put_tail(std::ofstream& out, const Config& c, const std::vector<float>& values) {
+  for (const double d : {c.dynamics.dt_s, c.dynamics.accel_initial_fps2,
+                         c.dynamics.accel_strength_fps2, c.dynamics.accel_noise_sigma_fps2,
+                         c.costs.nmac_cost, c.costs.nmac_h_ft, c.costs.maneuver_cost,
+                         c.costs.strengthened_maneuver_cost, c.costs.level_reward,
+                         c.costs.strengthen_cost, c.costs.reversal_cost,
+                         c.costs.termination_cost}) {
+    put(out, d);
   }
-  const LogicTable loaded = LogicTable::load(path);
-  ASSERT_EQ(loaded.raw().size(), pair_->raw().size());
-  EXPECT_EQ(loaded.raw(), pair_->raw());
-  EXPECT_EQ(loaded.config().space.tau_max, pair_->config().space.tau_max);
-  std::remove(path.c_str());
+  put(out, std::uint64_t{values.size()});
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
+}
+
+TEST_F(ServingImageTest, LegacyFormatsAreRejected) {
+  // Complete, well-formed "ACX1" and "JTX1" streams: only the TableImage
+  // container loads, so each is refused at the container magic.
+  const std::string pair_path = temp_path("serving_pair_legacy.bin");
+  {
+    std::ofstream out(pair_path, std::ios::binary);
+    const AcasXuConfig& c = pair_->config();
+    put(out, std::uint32_t{0x41435831});  // "ACX1"
+    put_axis(out, c.space.h_ft);
+    put_axis(out, c.space.dh_own_fps);
+    put_axis(out, c.space.dh_int_fps);
+    put(out, std::uint64_t{c.space.tau_max});
+    put_tail(out, c, pair_->raw());
+  }
+  const std::string joint_path = temp_path("serving_joint_legacy.bin");
+  {
+    std::ofstream out(joint_path, std::ios::binary);
+    const JointConfig& c = joint_->config();
+    put(out, std::uint32_t{0x4a545831});  // "JTX1"
+    put_axis(out, c.space.h_ft);
+    put_axis(out, c.space.dh_own_fps);
+    put_axis(out, c.space.dh_int_fps);
+    put_axis(out, c.secondary.h2_ft);
+    put(out, std::uint64_t{c.space.tau_max});
+    put(out, std::uint64_t{c.secondary.num_delta_bins});
+    put(out, c.secondary.delta_step_s);
+    put(out, c.secondary.sense_rate_fps);
+    put(out, c.secondary.sense_level_threshold_fps);
+    put_tail(out, c, joint_->raw());
+  }
+  try {
+    LogicTable::load(pair_path);
+    FAIL() << "an ACX1 stream must not load";
+  } catch (const TableIoError& e) {
+    EXPECT_EQ(e.reason(), "bad magic");
+  }
+  try {
+    JointLogicTable::load(joint_path);
+    FAIL() << "a JTX1 stream must not load";
+  } catch (const TableIoError& e) {
+    EXPECT_EQ(e.reason(), "bad magic");
+  }
+  std::remove(pair_path.c_str());
+  std::remove(joint_path.c_str());
 }
 
 TEST_F(ServingImageTest, SlabDirectoryIsTyped) {

@@ -1,6 +1,6 @@
 // PolicyServer (serving/policy_server.h): batch-of-one is bit-identical
-// to the single-query table API, batches are invariant to input order,
-// sorting and pooling, spans match the array wrappers, image-served f32
+// to the single-query table API, batches are invariant to input order
+// and pooling, spans match the array wrappers, image-served f32
 // matches in-memory serving bit for bit, and quantized serving's policy
 // disagreement stays pinned.
 #include "serving/policy_server.h"
@@ -147,25 +147,12 @@ TEST_F(PolicyServerTest, JointBatchOfOneIsBitIdenticalToSingleQuery) {
 TEST_F(PolicyServerTest, BatchIsInvariantToOrderSortingAndPooling) {
   const auto queries = fuzz_pair_queries(pair_->config(), 4096, 17);
   std::vector<AdvisoryCosts> reference(queries.size());
-  BatchOptions unsorted;
-  unsorted.sort_by_cell = CellSort::kOff;
-  server_->query_batch(queries, reference, unsorted);
-
-  // Sorted evaluation returns results in input slots.
-  std::vector<AdvisoryCosts> sorted_out(queries.size());
-  BatchOptions sorted;
-  sorted.sort_by_cell = CellSort::kOn;
-  server_->query_batch(queries, sorted_out, sorted);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(sorted_out[i].costs, reference[i].costs) << "query " << i;
-  }
+  server_->query_batch(queries, reference);
 
   // Pool sharding is invisible in the results.
   ThreadPool pool(3);
-  BatchOptions pooled;
-  pooled.pool = &pool;
   std::vector<AdvisoryCosts> pooled_out(queries.size());
-  server_->query_batch(queries, pooled_out, pooled);
+  server_->query_batch(queries, pooled_out, &pool);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(pooled_out[i].costs, reference[i].costs) << "query " << i;
   }
@@ -292,31 +279,6 @@ TEST_F(PolicyServerTest, JointQueriesRequireAJointTable) {
   const auto joint_queries = fuzz_joint_queries(joint_->config(), 2, 47);
   std::vector<AdvisoryCosts> out(joint_queries.size());
   EXPECT_THROW(pairwise_only.query_batch(joint_queries, out), ContractViolation);
-}
-
-// Pins the kAuto cell-sort heuristic: the sequential sort stays off for
-// serial evaluation and a single-worker pool, flips on once two or more
-// workers can consume the perfectly-local shards, and the explicit
-// settings override the pool size in both directions.
-TEST(BatchOptionsHeuristic, AutoSortFollowsPoolSize) {
-  BatchOptions options;
-  ASSERT_EQ(options.sort_by_cell, CellSort::kAuto);
-  EXPECT_FALSE(options.should_sort());
-
-  ThreadPool one(1);
-  options.pool = &one;
-  EXPECT_FALSE(options.should_sort());
-
-  ThreadPool two(2);
-  options.pool = &two;
-  EXPECT_TRUE(options.should_sort());
-
-  options.sort_by_cell = CellSort::kOff;
-  EXPECT_FALSE(options.should_sort());
-
-  options.sort_by_cell = CellSort::kOn;
-  options.pool = nullptr;
-  EXPECT_TRUE(options.should_sort());
 }
 
 }  // namespace

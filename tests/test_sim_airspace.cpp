@@ -252,16 +252,6 @@ TEST(PairwiseMonitors, LazyMaterializationFollowsTheActiveSet) {
   EXPECT_EQ(monitors.proximity(0, 1).report().min_distance_m, 50.0);
 }
 
-TEST(PairwiseMonitors, DenseBankMatchesActivateAllPairs) {
-  PairwiseMonitors monitors(3, AccidentConfig{});
-  monitors.activate_all_pairs();
-  EXPECT_EQ(monitors.num_pairs(), 3U);
-  EXPECT_EQ(monitors.num_active_pairs(), 3U);
-  EXPECT_EQ(monitors.pair_agents(0), std::make_pair(std::size_t{0}, std::size_t{1}));
-  EXPECT_EQ(monitors.pair_agents(1), std::make_pair(std::size_t{0}, std::size_t{2}));
-  EXPECT_EQ(monitors.pair_agents(2), std::make_pair(std::size_t{1}, std::size_t{2}));
-}
-
 TEST(PairwiseMonitors, SortedViewIsStableAcrossActivationChronology) {
   // Materialize pairs out of lexicographic order; the (i, j)-sorted view
   // used for result assembly must not depend on activation chronology.

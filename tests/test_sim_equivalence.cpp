@@ -64,14 +64,14 @@ void expect_bit_identical(const SimResult& a, const SimResult& b) {
     EXPECT_EQ(a.agents[i].resolver.disagreements, b.agents[i].resolver.disagreements) << i;
   }
 
-  ASSERT_EQ(a.multi_trajectory.size(), b.multi_trajectory.size());
-  for (std::size_t s = 0; s < a.multi_trajectory.size(); ++s) {
-    EXPECT_EQ(a.multi_trajectory[s].t_s, b.multi_trajectory[s].t_s) << s;
-    ASSERT_EQ(a.multi_trajectory[s].position_m.size(), b.multi_trajectory[s].position_m.size());
-    for (std::size_t i = 0; i < a.multi_trajectory[s].position_m.size(); ++i) {
-      EXPECT_EQ(a.multi_trajectory[s].position_m[i].x, b.multi_trajectory[s].position_m[i].x);
-      EXPECT_EQ(a.multi_trajectory[s].position_m[i].y, b.multi_trajectory[s].position_m[i].y);
-      EXPECT_EQ(a.multi_trajectory[s].position_m[i].z, b.multi_trajectory[s].position_m[i].z);
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (std::size_t s = 0; s < a.trajectory.size(); ++s) {
+    EXPECT_EQ(a.trajectory[s].t_s, b.trajectory[s].t_s) << s;
+    ASSERT_EQ(a.trajectory[s].position_m.size(), b.trajectory[s].position_m.size());
+    for (std::size_t i = 0; i < a.trajectory[s].position_m.size(); ++i) {
+      EXPECT_EQ(a.trajectory[s].position_m[i].x, b.trajectory[s].position_m[i].x);
+      EXPECT_EQ(a.trajectory[s].position_m[i].y, b.trajectory[s].position_m[i].y);
+      EXPECT_EQ(a.trajectory[s].position_m[i].z, b.trajectory[s].position_m[i].z);
     }
   }
 }
@@ -170,10 +170,10 @@ TEST_F(EquivalenceTest, ForcedModeReproducesGoldenHeadOn) {
   EXPECT_EQ(r.proximity.min_vertical_m, 0.0);
   EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.000000000000298);
   EXPECT_FALSE(r.nmac);
-  EXPECT_TRUE(r.own.ever_alerted);
-  EXPECT_EQ(r.own.first_alert_time_s, 25.000000000000085);
-  EXPECT_EQ(r.own.alert_cycles, 2);
-  EXPECT_EQ(r.intruder.alert_cycles, 3);
+  EXPECT_TRUE(r.agents[0].ever_alerted);
+  EXPECT_EQ(r.agents[0].first_alert_time_s, 25.000000000000085);
+  EXPECT_EQ(r.agents[0].alert_cycles, 2);
+  EXPECT_EQ(r.agents[1].alert_cycles, 3);
   EXPECT_EQ(r.elapsed_s, 89.999999999999162);
 }
 
@@ -283,10 +283,10 @@ TEST_F(EquivalenceTest, RecordEveryNDecimatesWithoutPerturbingTheRun) {
   // Decimation only drops samples: the simulation itself is untouched.
   EXPECT_EQ(r_full.proximity.min_distance_m, r_dec.proximity.min_distance_m);
   EXPECT_EQ(r_full.elapsed_s, r_dec.elapsed_s);
-  ASSERT_FALSE(r_full.multi_trajectory.empty());
-  EXPECT_EQ(r_dec.multi_trajectory.size(), (r_full.multi_trajectory.size() + 2) / 3);
-  for (std::size_t s = 0; s < r_dec.multi_trajectory.size(); ++s) {
-    EXPECT_EQ(r_dec.multi_trajectory[s].t_s, r_full.multi_trajectory[3 * s].t_s) << s;
+  ASSERT_FALSE(r_full.trajectory.empty());
+  EXPECT_EQ(r_dec.trajectory.size(), (r_full.trajectory.size() + 2) / 3);
+  for (std::size_t s = 0; s < r_dec.trajectory.size(); ++s) {
+    EXPECT_EQ(r_dec.trajectory[s].t_s, r_full.trajectory[3 * s].t_s) << s;
   }
 }
 

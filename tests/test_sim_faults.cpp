@@ -282,9 +282,9 @@ TEST(DegradedEngine, StalenessHorizonDropsCoastedTracks) {
   const SimResult coasting = run_multi_encounter(outage, equipped_agents(params), 99);
   const SimResult blind = run_multi_encounter(dropped, equipped_agents(params), 99);
   // Coasted forever: the fixture CAS still sees (stale) converging traffic.
-  EXPECT_TRUE(coasting.own.ever_alerted);
+  EXPECT_TRUE(coasting.agents[0].ever_alerted);
   // Dropped after 3 s: no track survives long enough to alert on.
-  EXPECT_FALSE(blind.own.ever_alerted);
+  EXPECT_FALSE(blind.agents[0].ever_alerted);
 }
 
 TEST(DegradedEngine, ScriptedAdversaryDoesNotCountAlerts) {

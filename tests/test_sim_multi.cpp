@@ -109,10 +109,10 @@ TEST_F(MultiSimWithTableTest, GoldenNoisyEquippedHeadOn) {
   EXPECT_EQ(r.proximity.min_vertical_m, 0.0);
   EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.000000000000298);
   EXPECT_FALSE(r.nmac);
-  EXPECT_TRUE(r.own.ever_alerted);
-  EXPECT_EQ(r.own.first_alert_time_s, 25.000000000000085);
-  EXPECT_EQ(r.own.alert_cycles, 2);
-  EXPECT_EQ(r.intruder.alert_cycles, 3);
+  EXPECT_TRUE(r.agents[0].ever_alerted);
+  EXPECT_EQ(r.agents[0].first_alert_time_s, 25.000000000000085);
+  EXPECT_EQ(r.agents[0].alert_cycles, 2);
+  EXPECT_EQ(r.agents[1].alert_cycles, 3);
   EXPECT_EQ(r.elapsed_s, 89.999999999999162);
 }
 
@@ -140,10 +140,10 @@ TEST_F(MultiSimWithTableTest, GoldenLossyEquipped) {
                                equipped(state_at(3000, 200, 1005, 35, kPi, -1)), 21);
   EXPECT_EQ(r.proximity.min_distance_m, 219.68830367883143);
   EXPECT_EQ(r.proximity.min_vertical_m, 0.024361138571407537);
-  EXPECT_EQ(r.own.first_alert_time_s, 26.000000000000099);
-  EXPECT_EQ(r.own.alert_cycles, 2);
-  EXPECT_EQ(r.intruder.first_alert_time_s, 25.000000000000085);
-  EXPECT_EQ(r.intruder.alert_cycles, 3);
+  EXPECT_EQ(r.agents[0].first_alert_time_s, 26.000000000000099);
+  EXPECT_EQ(r.agents[0].alert_cycles, 2);
+  EXPECT_EQ(r.agents[1].first_alert_time_s, 25.000000000000085);
+  EXPECT_EQ(r.agents[1].alert_cycles, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,9 +239,9 @@ TEST_F(MultiSimWithTableTest, DistantThirdAircraftDoesNotPerturbNearestThreatDec
   agents.push_back(equipped(far_away()));
   const auto three = run_multi_encounter(config, std::move(agents), 17);
 
-  EXPECT_EQ(two.own.ever_alerted, three.own.ever_alerted);
-  EXPECT_EQ(two.own.first_alert_time_s, three.own.first_alert_time_s);
-  EXPECT_EQ(two.own.alert_cycles, three.own.alert_cycles);
+  EXPECT_EQ(two.agents[0].ever_alerted, three.agents[0].ever_alerted);
+  EXPECT_EQ(two.agents[0].first_alert_time_s, three.agents[0].first_alert_time_s);
+  EXPECT_EQ(two.agents[0].alert_cycles, three.agents[0].alert_cycles);
   EXPECT_EQ(two.proximity.min_distance_m, three.pair(0, 1).proximity.min_distance_m);
   EXPECT_FALSE(three.own_nmac());
 }
@@ -264,7 +264,7 @@ TEST_F(MultiSimWithTableTest, EquippedResolvesTwoStaggeredThreats) {
   EXPECT_TRUE(bare.own_nmac()) << "sanity: the geometry is a real double conflict";
   const auto protected_run = run_multi_encounter(config, build(true), 23);
   EXPECT_FALSE(protected_run.own_nmac());
-  EXPECT_TRUE(protected_run.own.ever_alerted);
+  EXPECT_TRUE(protected_run.agents[0].ever_alerted);
 }
 
 TEST(MultiSim, MultiTrajectoryRecordsEveryAircraft) {
@@ -276,14 +276,13 @@ TEST(MultiSim, MultiTrajectoryRecordsEveryAircraft) {
   agents.push_back(unequipped(state_at(5000, 0, 1000, 10, kPi, 0)));
   agents.push_back(unequipped(state_at(0, 5000, 1200, 10, 0, 0)));
   const auto r = run_multi_encounter(config, std::move(agents), 4);
-  ASSERT_EQ(r.multi_trajectory.size(), 10U);
-  ASSERT_EQ(r.trajectory.size(), 10U) << "legacy pairwise view is kept";
-  for (const auto& s : r.multi_trajectory) {
+  ASSERT_EQ(r.trajectory.size(), 10U);
+  for (const auto& s : r.trajectory) {
     EXPECT_EQ(s.position_m.size(), 3U);
     EXPECT_EQ(s.vs_mps.size(), 3U);
     EXPECT_EQ(s.advisory.size(), 3U);
   }
-  EXPECT_EQ(r.multi_trajectory.front().position_m[0], r.trajectory.front().own_position_m);
+  EXPECT_EQ(r.trajectory.front().position_m[2], Vec3(0, 5000, 1200));
 }
 
 // ---------------------------------------------------------------------------
@@ -338,8 +337,8 @@ TEST(MultiSim, ReversalCountedAcrossCoastingGap) {
   own.cas = std::make_unique<ScriptedCas>(script);
   const auto r = run_encounter(config, std::move(own),
                                unequipped(state_at(4000, 0, 1000, 30, kPi, 0)), 1);
-  EXPECT_EQ(r.own.reversals, 1);
-  EXPECT_EQ(r.own.alert_cycles, 2);
+  EXPECT_EQ(r.agents[0].reversals, 1);
+  EXPECT_EQ(r.agents[0].alert_cycles, 2);
 }
 
 TEST(MultiSim, ContiguousSenseFlipStillCountsAsReversal) {
@@ -355,7 +354,7 @@ TEST(MultiSim, ContiguousSenseFlipStillCountsAsReversal) {
   own.cas = std::make_unique<ScriptedCas>(script);
   const auto r = run_encounter(config, std::move(own),
                                unequipped(state_at(4000, 0, 1000, 30, kPi, 0)), 1);
-  EXPECT_EQ(r.own.reversals, 1) << "back-to-back opposite senses reverse once";
+  EXPECT_EQ(r.agents[0].reversals, 1) << "back-to-back opposite senses reverse once";
 }
 
 TEST(MultiSim, RepeatedSameSenseAfterGapIsNotAReversal) {
@@ -371,7 +370,7 @@ TEST(MultiSim, RepeatedSameSenseAfterGapIsNotAReversal) {
   own.cas = std::make_unique<ScriptedCas>(script);
   const auto r = run_encounter(config, std::move(own),
                                unequipped(state_at(4000, 0, 1000, 30, kPi, 0)), 1);
-  EXPECT_EQ(r.own.reversals, 0);
+  EXPECT_EQ(r.agents[0].reversals, 0);
 }
 
 }  // namespace

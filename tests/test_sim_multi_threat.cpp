@@ -154,7 +154,7 @@ TEST_F(MultiThreatWithTableTest, ConvergingRingK4FusedRecordsFewerNmacs) {
     const SimResult fused =
         scenarios::run_scenario(scenario, config, equipped(), equipped(), seed);
     if (fused.own_nmac()) ++fused_nmacs;
-    fused_cycles += fused.own.resolver.fused_cycles;
+    fused_cycles += fused.agents[0].resolver.fused_cycles;
   }
   EXPECT_GT(nearest_nmacs, 0) << "sanity: the ring is a real multi-threat gap";
   EXPECT_LT(fused_nmacs, nearest_nmacs);
@@ -166,7 +166,7 @@ TEST_F(MultiThreatWithTableTest, ResolverStatsAreReported) {
   SimConfig config;
   config.threat_policy = ThreatPolicy::kCostFused;
   const SimResult r = scenarios::run_scenario(scenario, config, equipped(), equipped(), 3);
-  const ResolverStats& stats = r.own.resolver;
+  const ResolverStats& stats = r.agents[0].resolver;
   EXPECT_GT(stats.cycles, 0);
   EXPECT_GE(stats.threats_considered, stats.cycles);
   EXPECT_EQ(stats.fused_cycles + stats.fallback_cycles, stats.cycles);
@@ -217,9 +217,9 @@ TEST_F(MultiThreatWithTableTest, NearestPolicyIsDefaultAndBitIdenticalToWrapper)
   const SimResult multi = run_multi_encounter(config, std::move(agents), 41);
 
   EXPECT_EQ(wrapper.proximity.min_distance_m, multi.proximity.min_distance_m);
-  EXPECT_EQ(wrapper.own.alert_cycles, multi.own.alert_cycles);
-  EXPECT_EQ(wrapper.own.first_alert_time_s, multi.own.first_alert_time_s);
-  EXPECT_EQ(multi.own.resolver.cycles, 0) << "kNearest never invokes the resolver";
+  EXPECT_EQ(wrapper.agents[0].alert_cycles, multi.agents[0].alert_cycles);
+  EXPECT_EQ(wrapper.agents[0].first_alert_time_s, multi.agents[0].first_alert_time_s);
+  EXPECT_EQ(multi.agents[0].resolver.cycles, 0) << "kNearest never invokes the resolver";
 }
 
 TEST_F(MultiThreatWithTableTest, SingleThreatHeadOnIsPolicyInvariant) {
@@ -234,9 +234,9 @@ TEST_F(MultiThreatWithTableTest, SingleThreatHeadOnIsPolicyInvariant) {
   const SimResult fused = scenarios::run_scenario(scenario, config, equipped(), equipped(), 9);
 
   EXPECT_EQ(nearest.proximity.min_distance_m, fused.proximity.min_distance_m);
-  EXPECT_EQ(nearest.own.alert_cycles, fused.own.alert_cycles);
-  EXPECT_EQ(nearest.own.first_alert_time_s, fused.own.first_alert_time_s);
-  EXPECT_EQ(nearest.own.reversals, fused.own.reversals);
+  EXPECT_EQ(nearest.agents[0].alert_cycles, fused.agents[0].alert_cycles);
+  EXPECT_EQ(nearest.agents[0].first_alert_time_s, fused.agents[0].first_alert_time_s);
+  EXPECT_EQ(nearest.agents[0].reversals, fused.agents[0].reversals);
   EXPECT_FALSE(fused.own_nmac());
 }
 
@@ -407,10 +407,10 @@ TEST_F(MultiThreatWithTableTest, JointPolicyK1IsBitIdenticalToNearest) {
       scenarios::run_scenario(scenario, config, joint_equipped(), joint_equipped(), 9);
 
   EXPECT_EQ(nearest.proximity.min_distance_m, joint.proximity.min_distance_m);
-  EXPECT_EQ(nearest.own.alert_cycles, joint.own.alert_cycles);
-  EXPECT_EQ(nearest.own.first_alert_time_s, joint.own.first_alert_time_s);
-  EXPECT_EQ(nearest.own.reversals, joint.own.reversals);
-  EXPECT_EQ(joint.own.resolver.joint_cycles, 0) << "one threat never reaches the joint table";
+  EXPECT_EQ(nearest.agents[0].alert_cycles, joint.agents[0].alert_cycles);
+  EXPECT_EQ(nearest.agents[0].first_alert_time_s, joint.agents[0].first_alert_time_s);
+  EXPECT_EQ(nearest.agents[0].reversals, joint.agents[0].reversals);
+  EXPECT_EQ(joint.agents[0].resolver.joint_cycles, 0) << "one threat never reaches the joint table";
 }
 
 TEST_F(MultiThreatWithTableTest, JointPolicyWithoutJointTableMatchesCostFused) {
@@ -424,9 +424,9 @@ TEST_F(MultiThreatWithTableTest, JointPolicyWithoutJointTableMatchesCostFused) {
   const SimResult joint = scenarios::run_scenario(scenario, config, equipped(), equipped(), 7);
 
   EXPECT_EQ(fused.proximity.min_distance_m, joint.proximity.min_distance_m);
-  EXPECT_EQ(fused.own.alert_cycles, joint.own.alert_cycles);
-  EXPECT_EQ(fused.own.resolver.fused_cycles, joint.own.resolver.fused_cycles);
-  EXPECT_EQ(joint.own.resolver.joint_cycles, 0);
+  EXPECT_EQ(fused.agents[0].alert_cycles, joint.agents[0].alert_cycles);
+  EXPECT_EQ(fused.agents[0].resolver.fused_cycles, joint.agents[0].resolver.fused_cycles);
+  EXPECT_EQ(joint.agents[0].resolver.joint_cycles, 0);
 }
 
 TEST_F(MultiThreatWithTableTest, JointPolicyArbitratesTheRingThroughTheJointTable) {
@@ -435,7 +435,7 @@ TEST_F(MultiThreatWithTableTest, JointPolicyArbitratesTheRingThroughTheJointTabl
   config.threat_policy = ThreatPolicy::kJointTable;
   const SimResult r =
       scenarios::run_scenario(scenario, config, joint_equipped(), joint_equipped(), 3);
-  const ResolverStats& stats = r.own.resolver;
+  const ResolverStats& stats = r.agents[0].resolver;
   EXPECT_GT(stats.joint_cycles, 0) << "the simultaneous ring must reach the joint table";
   EXPECT_EQ(stats.fused_cycles + stats.joint_cycles + stats.fallback_cycles, stats.cycles);
 }

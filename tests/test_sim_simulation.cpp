@@ -104,9 +104,10 @@ TEST(Simulation, TrajectoryRecordingSampledPerDecisionCycle) {
                                     unequipped(state_at(5000, 0, 1000, 10, kPi, 0)), 3);
   ASSERT_EQ(result.trajectory.size(), 20U);  // one per decision cycle
   EXPECT_DOUBLE_EQ(result.trajectory.front().t_s, 0.0);
-  // Separation column is consistent with the positions.
+  // Every sample holds both aircraft.
   for (const auto& s : result.trajectory) {
-    EXPECT_NEAR(s.separation_m, distance(s.own_position_m, s.intruder_position_m), 1e-9);
+    EXPECT_EQ(s.position_m.size(), 2U);
+    EXPECT_EQ(s.advisory.size(), 2U);
   }
 }
 
@@ -125,11 +126,11 @@ TEST_F(SimulationWithTableTest, EquippedResolvesHeadOn) {
   const auto result = run_encounter(config, equipped(state_at(0, 0, 1000, 40, 0, 0)),
                                     equipped(state_at(3200, 0, 1000, 40, kPi, 0)), 11);
   EXPECT_FALSE(result.nmac);
-  EXPECT_TRUE(result.own.ever_alerted);
+  EXPECT_TRUE(result.agents[0].ever_alerted);
   // The DP alerts late and minimally (the paper's §III cost scale prices an
   // advisory step at 100 against an NMAC at 10000), so even two cycles of
   // g/4 climb can be cost-optimal — what matters is that it resolves.
-  EXPECT_GE(result.own.alert_cycles, 2);
+  EXPECT_GE(result.agents[0].alert_cycles, 2);
 }
 
 TEST_F(SimulationWithTableTest, UnequippedHeadOnCollides) {
@@ -150,10 +151,10 @@ TEST_F(SimulationWithTableTest, CoordinationYieldsComplementarySenses) {
   bool saw_complementary = false;
   bool saw_same_sense = false;
   for (const auto& s : result.trajectory) {
-    const bool own_climb = s.own_advisory.find("CL") != std::string::npos;
-    const bool own_descend = s.own_advisory.find("DES") != std::string::npos;
-    const bool int_climb = s.intruder_advisory.find("CL") != std::string::npos;
-    const bool int_descend = s.intruder_advisory.find("DES") != std::string::npos;
+    const bool own_climb = s.advisory[0].find("CL") != std::string::npos;
+    const bool own_descend = s.advisory[0].find("DES") != std::string::npos;
+    const bool int_climb = s.advisory[1].find("CL") != std::string::npos;
+    const bool int_descend = s.advisory[1].find("DES") != std::string::npos;
     if ((own_climb && int_descend) || (own_descend && int_climb)) saw_complementary = true;
     if ((own_climb && int_climb) || (own_descend && int_descend)) saw_same_sense = true;
   }
@@ -166,11 +167,11 @@ TEST_F(SimulationWithTableTest, AlertBookkeeping) {
   config.max_time_s = 90.0;
   const auto result = run_encounter(config, equipped(state_at(0, 0, 1000, 40, 0, 0)),
                                     unequipped(state_at(3200, 0, 1000, 40, kPi, 0)), 13);
-  EXPECT_TRUE(result.own.ever_alerted);
-  EXPECT_GE(result.own.first_alert_time_s, 0.0);
-  EXPECT_GT(result.own.alert_cycles, 0);
-  EXPECT_FALSE(result.intruder.ever_alerted);
-  EXPECT_EQ(result.intruder.alert_cycles, 0);
+  EXPECT_TRUE(result.agents[0].ever_alerted);
+  EXPECT_GE(result.agents[0].first_alert_time_s, 0.0);
+  EXPECT_GT(result.agents[0].alert_cycles, 0);
+  EXPECT_FALSE(result.agents[1].ever_alerted);
+  EXPECT_EQ(result.agents[1].alert_cycles, 0);
 }
 
 TEST_F(SimulationWithTableTest, SensorDropoutCoastsInsteadOfCrashing) {
@@ -191,8 +192,8 @@ TEST_F(SimulationWithTableTest, TotalSurveillanceLossMeansNoAlerts) {
   config.max_time_s = 60.0;
   const auto result = run_encounter(config, equipped(state_at(0, 0, 1000, 40, 0, 0)),
                                     equipped(state_at(2400, 0, 1000, 40, kPi, 0)), 15);
-  EXPECT_FALSE(result.own.ever_alerted);
-  EXPECT_FALSE(result.intruder.ever_alerted);
+  EXPECT_FALSE(result.agents[0].ever_alerted);
+  EXPECT_FALSE(result.agents[1].ever_alerted);
   EXPECT_TRUE(result.nmac) << "blind aircraft on a collision course collide";
 }
 

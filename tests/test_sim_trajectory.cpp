@@ -1,6 +1,6 @@
 // Trajectory recording/rendering tests: CSV structure, ASCII view
-// rendering, and the turn-command channel of the UAV agent (added with the
-// horizontal logic).
+// rendering of aircraft 0 and 1, and the turn-command channel of the UAV
+// agent (added with the horizontal logic).
 #include "sim/trajectory.h"
 
 #include <gtest/gtest.h>
@@ -8,38 +8,35 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "sim/uav.h"
 #include "util/angles.h"
+#include "util/expect.h"
 #include "util/rng.h"
 
 namespace cav::sim {
 namespace {
 
-Trajectory two_point_trajectory() {
-  Trajectory traj;
-  TrajectorySample a;
+/// Own-ship (aircraft 0) and one intruder (aircraft 1) over two samples.
+MultiTrajectory two_point_trajectory() {
+  MultiTrajectoryFrame a;
   a.t_s = 0.0;
-  a.own_position_m = {0.0, 0.0, 1000.0};
-  a.intruder_position_m = {2000.0, 100.0, 1050.0};
-  a.own_advisory = "COC";
-  a.intruder_advisory = "COC";
-  a.separation_m = 2003.1;
-  TrajectorySample b;
+  a.position_m = {{0.0, 0.0, 1000.0}, {2000.0, 100.0, 1050.0}};
+  a.vs_mps = {0.0, 0.0};
+  a.advisory = {"COC", "COC"};
+  MultiTrajectoryFrame b;
   b.t_s = 10.0;
-  b.own_position_m = {400.0, 0.0, 1010.0};
-  b.intruder_position_m = {1600.0, 100.0, 1040.0};
-  b.own_advisory = "CL1500";
-  b.intruder_advisory = "DES1500";
-  b.separation_m = 1204.5;
-  traj.push_back(a);
-  traj.push_back(b);
-  return traj;
+  b.position_m = {{400.0, 0.0, 1010.0}, {1600.0, 100.0, 1040.0}};
+  b.vs_mps = {5.0, -5.0};
+  b.advisory = {"CL1500", "DES1500"};
+  return {a, b};
 }
 
 TEST(Trajectory, CsvHasHeaderAndRows) {
   const std::string path = ::testing::TempDir() + "/cav_traj_test.csv";
-  write_trajectory_csv(two_point_trajectory(), path);
+  const MultiTrajectory traj = two_point_trajectory();
+  write_trajectory_csv(traj, path);
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
@@ -47,7 +44,12 @@ TEST(Trajectory, CsvHasHeaderAndRows) {
   EXPECT_NE(line.find("own_advisory"), std::string::npos);
   int rows = 0;
   while (std::getline(in, line)) {
-    if (!line.empty()) ++rows;
+    if (line.empty()) continue;
+    // The last column is the separation of the two stored positions.
+    const double separation = std::stod(line.substr(line.rfind(',') + 1));
+    const auto& s = traj[static_cast<std::size_t>(rows)];
+    EXPECT_NEAR(separation, distance(s.position_m[0], s.position_m[1]), 1e-6) << line;
+    ++rows;
   }
   EXPECT_EQ(rows, 2);
   std::remove(path.c_str());
@@ -71,6 +73,16 @@ TEST(Trajectory, SideViewUsesTimeAxis) {
 TEST(Trajectory, EmptyTrajectoryRendersGracefully) {
   EXPECT_NE(render_top_view({}).find("empty"), std::string::npos);
   EXPECT_NE(render_side_view({}).find("empty"), std::string::npos);
+}
+
+TEST(Trajectory, PairwiseViewsRejectSingleAircraftFrames) {
+  MultiTrajectory lone = two_point_trajectory();
+  lone.back().position_m.pop_back();
+  EXPECT_THROW(render_top_view(lone), ContractViolation);
+  EXPECT_THROW(render_side_view(lone), ContractViolation);
+  const std::string path = ::testing::TempDir() + "/cav_traj_lone.csv";
+  EXPECT_THROW(write_trajectory_csv(lone, path), ContractViolation);
+  std::remove(path.c_str());
 }
 
 TEST(TurnCommand, AgentTurnsAtCommandedRate) {
