@@ -5,8 +5,11 @@
 // the same monitors, the pair minima, NMAC verdicts, and event-core
 // accounting must match the serial run exactly.  Determinism is the hard
 // gate (non-zero exit on any mismatch); speedup is printed as an
-// expectation only — the 1-core CI box can't honor it and must not fail
-// (same policy as E17).
+// expectation only, never gated (same policy as E17).  Each fleet also
+// records the process peak RSS, which follows near pairs now that
+// coordination links exist only over them.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -24,6 +27,14 @@ namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Process high-water RSS so far.  Fleets run in ascending K, so the value
+/// read after a fleet's runs is that fleet's peak.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
 }
 
 /// The bit-identity contract, on every surface a SimResult exposes: the
@@ -45,7 +56,8 @@ bool identical(const cav::sim::SimResult& a, const cav::sim::SimResult& b) {
       a.stats.monitored_pairs != b.stats.monitored_pairs ||
       a.stats.peak_active_pairs != b.stats.peak_active_pairs ||
       a.stats.decision_cycles != b.stats.decision_cycles ||
-      a.stats.fault_events != b.stats.fault_events) {
+      a.stats.fault_events != b.stats.fault_events ||
+      a.stats.coordination_links != b.stats.coordination_links) {
     return false;
   }
   if (a.pairs.size() != b.pairs.size()) return false;
@@ -76,7 +88,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> fleets =
       bench::smoke() ? std::vector<std::size_t>{256}
-                     : std::vector<std::size_t>{256, 1024, 4096};
+                     : std::vector<std::size_t>{256, 1024, 4096, 16384};
   const double horizon_s = bench::smoke() ? 24.0 : 120.0;
 
   std::printf("workload: city_corridors fleets, fully ACAS-Xu equipped, %.0f s\n"
@@ -130,7 +142,10 @@ int main(int argc, char** argv) {
     }
     bench::record_metric(key + "speedup_2lp", walls[0] / walls[1]);
     bench::record_metric(key + "speedup_4lp", walls[0] / walls[2]);
-    std::printf("\n");
+    const double rss_mb = peak_rss_mb();
+    bench::record_metric(key + "peak_rss_mb", rss_mb);
+    std::printf("%-8zu peak RSS %.1f MB, %zu coordination links\n\n", k, rss_mb,
+                reference.stats.coordination_links);
   }
 
   const unsigned cores = std::thread::hardware_concurrency();

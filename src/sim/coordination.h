@@ -24,6 +24,17 @@
 // decays a link's constraint to kNone once `tick()` has been called more
 // than TTL times since the last delivery on that link.
 //
+// State is sparse.  The channel keeps one cycle counter; `tick()` only
+// increments it, and each link stamps the counter value at its last
+// delivery, so a link's age is `now - stamp` and no per-link clock is ever
+// swept.  A link slot (sense, burst flag, stamp) is created on the first
+// delivery *attempt* over a (receiver, sender) pair — lost and deaf
+// attempts still move the Gilbert–Elliott state — and kept for the rest of
+// the run; a pair that has never had an attempt reads kNone in the GOOD
+// state.  Senders post only to their airspace neighbors, so memory is
+// O(K + links ever near) instead of K², and every lookup is a binary
+// search over the receiver's sender-sorted slots.
+//
 // This channel is the engine's serial seam: agent i's decision reads the
 // senses agents j < i posted *this* cycle, and every delivery attempt
 // draws from one shared coordination stream, so the decide-and-post sweep
@@ -31,6 +42,7 @@
 // the LP event loops synchronize around it (see simulation.h).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -63,37 +75,21 @@ struct CoordinationConfig {
 class CoordinationChannel {
  public:
   explicit CoordinationChannel(const CoordinationConfig& config = {}, std::size_t num_agents = 2)
-      : config_(config),
-        num_agents_(num_agents),
-        delivered_(num_agents * num_agents, acasx::Sense::kNone),
-        age_cycles_(num_agents * num_agents, 0),
-        link_bad_(num_agents * num_agents, 0) {
+      : config_(config), links_(num_agents) {
     expect(num_agents >= 2, "coordination needs at least two aircraft");
   }
 
-  /// Aircraft `sender` announces the sense of its chosen maneuver to every
-  /// other aircraft.  Each link draws its own loss (and, when the burst
-  /// model is active, its own state transition); a lost delivery leaves
-  /// the previously delivered announcement in place on that link
-  /// (receivers work with the last thing they heard).  Receivers are
-  /// visited in index order so the draw sequence is deterministic.
-  /// `deaf`, when non-null, marks receivers whose comms are blacked out:
-  /// their links still draw (the channel state evolves), but nothing is
-  /// delivered to them.
-  void post(int sender, acasx::Sense sense, RngStream& rng,
-            const std::vector<bool>* deaf = nullptr) {
-    if (!config_.enabled) return;
-    for (std::size_t receiver = 0; receiver < num_agents_; ++receiver) {
-      if (receiver == static_cast<std::size_t>(sender)) continue;
-      post_to(sender, static_cast<int>(receiver), sense, rng, deaf);
-    }
-  }
-
-  /// Range-limited broadcast: deliver only to `receivers` (ascending agent
-  /// ids, the sender's airspace neighbors).  Links to out-of-range
-  /// aircraft make no draws — a datalink has finite reach, so only
-  /// in-range links exist this cycle.  With `receivers` equal to every
-  /// other aircraft this is draw-for-draw the full broadcast above.
+  /// Aircraft `sender` announces the sense of its chosen maneuver to
+  /// `receivers` (ascending agent ids, the sender's airspace neighbors).
+  /// Links to out-of-range aircraft make no draws — a datalink has finite
+  /// reach, so only in-range links exist this cycle.  Each link draws its
+  /// own loss (and, when the burst model is active, its own state
+  /// transition); a lost delivery leaves the previously delivered
+  /// announcement in place on that link (receivers work with the last
+  /// thing they heard).  Receivers are visited in list order, so the draw
+  /// sequence is deterministic.  `deaf`, when non-null, marks receivers
+  /// whose comms are blacked out: their links still draw (the channel
+  /// state evolves), but nothing is delivered to them.
   void post(int sender, acasx::Sense sense, RngStream& rng, const std::vector<bool>* deaf,
             const std::vector<int>& receivers) {
     if (!config_.enabled) return;
@@ -104,13 +100,8 @@ class CoordinationChannel {
   }
 
   /// Advance the staleness clock one decision cycle (call once per cycle,
-  /// before the cycle's posts).  Ages saturate; with the default infinite
-  /// TTL they are tracked but never read.
-  void tick() {
-    for (int& age : age_cycles_) {
-      if (age < kMaxAge) ++age;
-    }
-  }
+  /// before the cycle's posts).
+  void tick() { ++now_; }
 
   /// The sense forbidden to aircraft `receiver` by aircraft `threat`:
   /// whatever `threat` last delivered on that link (kNone when
@@ -118,62 +109,85 @@ class CoordinationChannel {
   /// is older than the staleness TTL).
   acasx::Sense forbidden_for(int receiver, int threat) const {
     if (!config_.enabled) return acasx::Sense::kNone;
-    const std::size_t link = static_cast<std::size_t>(receiver) * num_agents_ +
-                             static_cast<std::size_t>(threat);
-    if (config_.staleness_ttl_cycles > 0 && age_cycles_[link] > config_.staleness_ttl_cycles) {
+    const Link* link = find(receiver, threat);
+    if (link == nullptr) return acasx::Sense::kNone;
+    if (config_.staleness_ttl_cycles > 0 &&
+        now_ - link->delivered_cycle > static_cast<std::uint64_t>(config_.staleness_ttl_cycles)) {
       return acasx::Sense::kNone;
     }
-    return delivered_[link];
-  }
-
-  /// Two-aircraft convenience: the constraint from the (single) other one.
-  acasx::Sense forbidden_for(int receiver) const {
-    expect(num_agents_ == 2, "pairwise forbidden_for needs a 2-aircraft channel");
-    return forbidden_for(receiver, 1 - receiver);
+    return link->delivered;
   }
 
   /// Whether the link receiver<-sender is currently in the BAD (bursty)
   /// Gilbert–Elliott state.  Exposed for tests.
   bool link_in_burst(int receiver, int sender) const {
-    return link_bad_[static_cast<std::size_t>(receiver) * num_agents_ +
-                     static_cast<std::size_t>(sender)] != 0;
+    const Link* link = find(receiver, sender);
+    return link != nullptr && link->bad;
   }
 
-  std::size_t num_agents() const { return num_agents_; }
-
-  void reset() {
-    delivered_.assign(delivered_.size(), acasx::Sense::kNone);
-    age_cycles_.assign(age_cycles_.size(), 0);
-    link_bad_.assign(link_bad_.size(), 0);
+  /// Materialized links: (receiver, sender) pairs that have seen at least
+  /// one delivery attempt.  K(K-1) at most; under a finite interaction
+  /// radius at most twice the pairs ever near at a decision time.
+  std::size_t num_links() const {
+    std::size_t total = 0;
+    for (const std::vector<Link>& row : links_) total += row.size();
+    return total;
   }
 
  private:
+  struct Link {
+    std::uint64_t delivered_cycle = 0;  ///< tick count at the last delivery
+    int sender = -1;
+    acasx::Sense delivered = acasx::Sense::kNone;
+    bool bad = false;  ///< Gilbert–Elliott BAD state
+  };
+
+  static bool sender_below(const Link& link, int sender) { return link.sender < sender; }
+
+  const Link* find(int receiver, int sender) const {
+    const std::vector<Link>& row = links_[static_cast<std::size_t>(receiver)];
+    const auto it = std::lower_bound(row.begin(), row.end(), sender, sender_below);
+    return it != row.end() && it->sender == sender ? &*it : nullptr;
+  }
+
+  /// The link receiver<-sender, created (kNone, GOOD, stamped at cycle 0 —
+  /// the state of a link nobody ever posted on) on the first attempt.
+  Link& find_or_create(int receiver, int sender) {
+    std::vector<Link>& row = links_[static_cast<std::size_t>(receiver)];
+    auto it = std::lower_bound(row.begin(), row.end(), sender, sender_below);
+    if (it == row.end() || it->sender != sender) {
+      Link fresh;
+      fresh.sender = sender;
+      it = row.insert(it, fresh);
+    }
+    return *it;
+  }
+
   void post_to(int sender, int receiver, acasx::Sense sense, RngStream& rng,
                const std::vector<bool>* deaf) {
-    const std::size_t link =
-        static_cast<std::size_t>(receiver) * num_agents_ + static_cast<std::size_t>(sender);
+    Link& link = find_or_create(receiver, sender);
     double loss = config_.message_loss_prob;
     if (config_.burst_model_active()) {
-      if (link_bad_[link]) {
-        if (rng.chance(config_.burst_exit_prob)) link_bad_[link] = 0;
+      if (link.bad) {
+        if (rng.chance(config_.burst_exit_prob)) link.bad = false;
       } else if (rng.chance(config_.burst_enter_prob)) {
-        link_bad_[link] = 1;
+        link.bad = true;
       }
-      if (link_bad_[link]) loss = config_.burst_loss_prob;
+      if (link.bad) loss = config_.burst_loss_prob;
     }
     if (loss > 0.0 && rng.chance(loss)) return;
     if (deaf != nullptr && (*deaf)[static_cast<std::size_t>(receiver)]) return;
-    delivered_[link] = sense;
-    age_cycles_[link] = 0;
+    link.delivered = sense;
+    link.delivered_cycle = now_;
   }
 
-  static constexpr int kMaxAge = 1 << 28;  ///< saturation bound for ages
-
   CoordinationConfig config_;
-  std::size_t num_agents_;
-  std::vector<acasx::Sense> delivered_;  ///< [receiver * N + sender]
-  std::vector<int> age_cycles_;          ///< tick()s since last delivery per link
-  std::vector<std::uint8_t> link_bad_;   ///< Gilbert–Elliott BAD flag per link
+  std::uint64_t now_ = 0;  ///< tick()s so far; a link's age is now_ - delivered_cycle
+  /// Per receiver, the links it has been posted on, sorted by sender.  A
+  /// link lives for the whole run once created, so a pair that leaves the
+  /// interaction radius and comes back sees its old sense, burst state and
+  /// staleness clock.
+  std::vector<std::vector<Link>> links_;
 };
 
 }  // namespace cav::sim

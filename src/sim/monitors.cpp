@@ -7,32 +7,35 @@
 
 namespace cav::sim {
 
-void ProximityMeasurer::update(double t_s, const Vec3& a, const Vec3& b) {
-  const double d = distance(a, b);
-  if (d < report_.min_distance_m) {
-    report_.min_distance_m = d;
+void ProximityMeasurer::update(double t_s, const Separation& s) {
+  if (s.distance_m < report_.min_distance_m) {
+    report_.min_distance_m = s.distance_m;
     report_.time_of_min_distance_s = t_s;
   }
-  const double h = horizontal_distance(a, b);
-  if (h < report_.min_horizontal_m) report_.min_horizontal_m = h;
-  const double v = vertical_distance(a, b);
-  if (v < report_.min_vertical_m) report_.min_vertical_m = v;
+  if (s.horizontal_m < report_.min_horizontal_m) report_.min_horizontal_m = s.horizontal_m;
+  if (s.vertical_m < report_.min_vertical_m) report_.min_vertical_m = s.vertical_m;
 }
 
-void AccidentDetector::update(double t_s, const Vec3& a, const Vec3& b) {
-  const double h = horizontal_distance(a, b);
-  const double v = vertical_distance(a, b);
-  if (!nmac_ && h < config_.nmac_horizontal_m && v < config_.nmac_vertical_m) {
+void AccidentDetector::update(double t_s, const Separation& s) {
+  if (!nmac_ && s.horizontal_m < config_.nmac_horizontal_m &&
+      s.vertical_m < config_.nmac_vertical_m) {
     nmac_ = true;
     nmac_time_s_ = t_s;
   }
-  if (!hard_collision_ && distance(a, b) < config_.collision_radius_m) {
+  if (!hard_collision_ && s.distance_m < config_.collision_radius_m) {
     hard_collision_ = true;
   }
 }
 
 PairwiseMonitors::PairwiseMonitors(std::size_t num_agents, const AccidentConfig& config)
     : num_agents_(num_agents), config_(config) {}
+
+void PairwiseMonitors::update_slot(PairSlot& slot, double t_s,
+                                   const std::vector<Vec3>& positions) {
+  const Separation s = Separation::between(positions[slot.a], positions[slot.b]);
+  slot.proximity.update(t_s, s);
+  slot.accidents.update(t_s, s);
+}
 
 std::size_t PairwiseMonitors::find_or_create(std::size_t i, std::size_t j) {
   const auto [it, created] = index_.try_emplace(slot_key(i, j), slots_.size());
@@ -57,11 +60,7 @@ std::size_t PairwiseMonitors::set_active_pairs(const std::vector<std::pair<int, 
 }
 
 void PairwiseMonitors::update(double t_s, const std::vector<Vec3>& positions) {
-  for (const std::size_t s : active_) {
-    PairSlot& slot = slots_[s];
-    slot.proximity.update(t_s, positions[slot.a], positions[slot.b]);
-    slot.accidents.update(t_s, positions[slot.a], positions[slot.b]);
-  }
+  for (const std::size_t s : active_) update_slot(slots_[s], t_s, positions);
 }
 
 void PairwiseMonitors::update_series(const std::vector<double>& times_s,
@@ -72,11 +71,7 @@ void PairwiseMonitors::update_series(const std::vector<double>& times_s,
   auto run_stripe = [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       PairSlot& slot = slots_[active_[k]];
-      for (std::size_t s = 0; s < n_rows; ++s) {
-        const std::vector<Vec3>& positions = position_rows[s];
-        slot.proximity.update(times_s[s], positions[slot.a], positions[slot.b]);
-        slot.accidents.update(times_s[s], positions[slot.a], positions[slot.b]);
-      }
+      for (std::size_t s = 0; s < n_rows; ++s) update_slot(slot, times_s[s], position_rows[s]);
     }
   };
   if (pool != nullptr && num_lps > 1) {
@@ -92,9 +87,7 @@ void PairwiseMonitors::update_series(const std::vector<double>& times_s,
 void PairwiseMonitors::update_new(double t_s, const std::vector<Vec3>& positions,
                                   std::size_t count) {
   for (std::size_t s = slots_.size() - count; s < slots_.size(); ++s) {
-    PairSlot& slot = slots_[s];
-    slot.proximity.update(t_s, positions[slot.a], positions[slot.b]);
-    slot.accidents.update(t_s, positions[slot.a], positions[slot.b]);
+    update_slot(slots_[s], t_s, positions);
   }
 }
 

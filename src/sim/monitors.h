@@ -55,9 +55,21 @@ struct ProximityReport {
   double time_of_min_distance_s = 0.0;
 };
 
+/// One pair-step's separations, computed once and fed to both monitors.
+struct Separation {
+  double distance_m = 0.0;    ///< 3-D
+  double horizontal_m = 0.0;
+  double vertical_m = 0.0;
+
+  static Separation between(const Vec3& a, const Vec3& b) {
+    return {distance(a, b), horizontal_distance(a, b), vertical_distance(a, b)};
+  }
+};
+
 class ProximityMeasurer {
  public:
-  void update(double t_s, const Vec3& a, const Vec3& b);
+  void update(double t_s, const Vec3& a, const Vec3& b) { update(t_s, Separation::between(a, b)); }
+  void update(double t_s, const Separation& s);
   const ProximityReport& report() const { return report_; }
 
  private:
@@ -74,7 +86,8 @@ class AccidentDetector {
  public:
   explicit AccidentDetector(const AccidentConfig& config = {}) : config_(config) {}
 
-  void update(double t_s, const Vec3& a, const Vec3& b);
+  void update(double t_s, const Vec3& a, const Vec3& b) { update(t_s, Separation::between(a, b)); }
+  void update(double t_s, const Separation& s);
 
   bool nmac() const { return nmac_; }
   /// Time of first NMAC penetration; -1 when no NMAC occurred.
@@ -169,6 +182,7 @@ class PairwiseMonitors {
   static std::uint64_t slot_key(std::size_t i, std::size_t j) {
     return (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
   }
+  static void update_slot(PairSlot& slot, double t_s, const std::vector<Vec3>& positions);
   std::size_t find_or_create(std::size_t i, std::size_t j);
   const std::vector<std::size_t>& sorted_order() const;
 

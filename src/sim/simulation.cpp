@@ -499,6 +499,7 @@ SimResult Simulation::run() {
   for (const AgentRuntime& r : runtimes_) result.agents.push_back(r.report);
   result.elapsed_s = t;
   result.stats.monitored_pairs = monitors_.num_pairs();
+  result.stats.coordination_links = coord_.num_links();
   result.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return result;

@@ -98,6 +98,9 @@ struct SimStats {
   std::uint64_t pair_updates = 0;        ///< per-pair monitor updates
   std::size_t monitored_pairs = 0;       ///< pair-monitor slots materialized
   std::size_t peak_active_pairs = 0;     ///< largest per-cycle near-pair set
+  /// Coordination links materialized (receiver, sender pairs that saw a
+  /// delivery attempt); at most 2 × monitored_pairs.
+  std::size_t coordination_links = 0;
 };
 
 struct AgentReport {

@@ -133,6 +133,29 @@ TEST(CityScale, AdaptiveEngineDoesNearPairWork) {
   EXPECT_LT(adaptive.stats.pair_updates, dense.stats.pair_updates / 4);
   EXPECT_EQ(adaptive.stats.decision_cycles, dense.stats.decision_cycles);
   EXPECT_EQ(adaptive.pairs.size(), adaptive.stats.monitored_pairs);
+  // Coordination links follow the same pairs: every ordered pair under the
+  // dense index, at most both directions of each ever-near pair otherwise.
+  EXPECT_EQ(dense.stats.coordination_links, 64U * 63U);
+  EXPECT_GT(adaptive.stats.coordination_links, 0U);
+  EXPECT_LE(adaptive.stats.coordination_links, 2 * adaptive.stats.monitored_pairs);
+}
+
+TEST(CityScale, CoordinationStateFollowsNearPairsAt16k) {
+  // K=16384 for three decision cycles.  Dense K×K link arrays would be
+  // ~1.6 GB before the first cycle; the sparse channel holds only links
+  // over pairs that were near when someone posted.
+  constexpr std::size_t kFleet = 16384;
+  const std::vector<sim::UavState> states =
+      scenarios::city_corridors(kFleet, 2016).initial_states();
+  std::vector<sim::AgentSetup> agents(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) agents[i].initial_state = states[i];
+  sim::SimConfig config = quiet_city_config(/*adaptive=*/true);
+  config.max_time_s = 3.0;
+  const sim::SimResult result = sim::run_multi_encounter(config, std::move(agents), 2016);
+  EXPECT_EQ(result.stats.decision_cycles, 3U);
+  EXPECT_GT(result.stats.coordination_links, 0U);
+  EXPECT_LE(result.stats.coordination_links, 2 * result.stats.monitored_pairs);
+  EXPECT_LT(result.stats.monitored_pairs, kFleet * 4);  // a few neighbors each, not K
 }
 
 TEST(CityScale, RepeatedRunsAreBitIdenticalUnderFullNoise) {
