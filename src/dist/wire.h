@@ -61,9 +61,12 @@ enum class MsgType : std::uint32_t {
   kWorkerError = 14,    ///< human-readable failure; worker exits after
 };
 
-/// Raised whenever a payload encoding changes, so a worker built from other
-/// sources is refused at hello instead of mis-decoding a spec.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// Raised whenever a payload encoding or the meaning of a spec changes, so a
+/// worker built from other sources is refused at hello instead of
+/// mis-decoding a spec or answering it differently.  The random streams are
+/// part of a spec's meaning: a worker drawing other numbers for the same
+/// seeds would silently mix two generators into one merged result.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 struct Frame {
   MsgType type = MsgType::kShutdown;

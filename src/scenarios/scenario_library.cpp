@@ -231,10 +231,13 @@ DegradedScenario ga_blackout_pincer() {
   // GA seed 606): a slow own-ship pinched between a fast crosser (CPA 33 s)
   // and a slow close-aboard threat (CPA 29 s), with a 21.5 s comms blackout
   // covering both resolution windows on top of heavy link loss, bursts, and
-  // ADS-B dropout.  At the pinned seed the degraded run is an own-NMAC
-  // under all three threat policies while the fault-free control resolves
-  // cleanly under the joint table — the degradation, not the geometry, is
-  // what defeats the strongest policy (asserted in test_scenarios.cpp).
+  // ADS-B dropout.  The seed is the smallest at which the degraded run is an
+  // own-NMAC under all three threat policies while the fault-free control
+  // resolves under the joint table (asserted in test_degraded_fixtures.cpp).
+  // That contrast holds at the pinned seed only: over seeds 1-200 the
+  // fault-free control is a joint-table own-NMAC on 167/200 seeds under both
+  // the old mt19937_64 streams and util/rng.h's (degraded: 181 and 184), so
+  // mostly the geometry, not the degradation, defeats the joint table.
   d.scenario = degraded_geometry(
       "ga-blackout-pincer",
       {/*gs_own*/ 22.467, /*vs_own*/ -3.521,
@@ -246,7 +249,7 @@ DegradedScenario ga_blackout_pincer() {
   d.fault.comms_blackouts.push_back({/*start_s=*/14.8, /*end_s=*/14.8 + 21.5});
   d.fault.adsb_dropout_burst_prob = 0.25;
   d.fault.adsb_burst_continue_prob = 0.6;  // DegradedConditions::kBurstContinueProb
-  d.seed = 1;
+  d.seed = 2;
   return d;
 }
 
@@ -257,11 +260,15 @@ DegradedScenario ga_burst_stale_overtake() {
   // while a fast crosser converges (CPA 44 s), under the heaviest ADS-B
   // dropout the gene range allows (bursts cover ~half the cycles) plus
   // bursty link loss and a short late blackout.  Of all campaign findings
-  // this one's outcome depends most on
-  // the faults: fault-free it is a 2/10-seed NMAC geometry under the joint
-  // table, degraded it is 6/10.  The 8 s staleness horizon is added on top
-  // of the found conditions so the fixture also exercises the coast-limit
-  // path — the GA had no horizon gene.
+  // this one's outcome depends most on the faults, but the geometry alone
+  // is already dangerous: over seeds 1-200 the joint table own-NMACs on
+  // 157 degraded vs 112 fault-free seeds under the old mt19937_64 streams,
+  // and 145 vs 129 under util/rng.h's.  The seed is the smallest at which
+  // the degraded run is an own-NMAC under all three threat policies while
+  // the fault-free control resolves under the joint table.  The 8 s
+  // staleness horizon is added on top of the found conditions so the
+  // fixture also exercises the coast-limit path — the GA had no horizon
+  // gene.
   d.scenario = degraded_geometry(
       "ga-burst-stale-overtake",
       {/*gs_own*/ 16.433, /*vs_own*/ 0.542,
@@ -274,7 +281,7 @@ DegradedScenario ga_burst_stale_overtake() {
   d.fault.adsb_dropout_burst_prob = 0.40;
   d.fault.adsb_burst_continue_prob = 0.6;  // DegradedConditions::kBurstContinueProb
   d.fault.track_staleness_horizon_s = 8.0;
-  d.seed = 4;
+  d.seed = 7;
   return d;
 }
 

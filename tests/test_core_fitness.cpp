@@ -46,9 +46,13 @@ TEST_F(FitnessTest, FitnessBoundedByGainMax) {
 }
 
 TEST_F(FitnessTest, CollisionRunsScoreMaximumGain) {
-  // Unequipped head-on: every run is an NMAC, so d_k = 0 and the fitness
-  // is exactly gain_max.
-  const EncounterEvaluator evaluator(fast_config(), none(), none());
+  // Unequipped head-on without disturbance: every run is an NMAC, so
+  // d_k = 0 and the fitness is exactly gain_max.  (With the default
+  // vertical gust a run has a few-percent chance of passing more than
+  // 100 ft apart, which would break the premise for some seeds.)
+  FitnessConfig config = fast_config();
+  config.sim.disturbance = sim::DisturbanceConfig::none();
+  const EncounterEvaluator evaluator(config, none(), none());
   const auto eval = evaluator.evaluate(encounter::head_on(), 1);
   EXPECT_EQ(eval.nmac_count, eval.runs);
   EXPECT_DOUBLE_EQ(eval.fitness, 10000.0);

@@ -1,6 +1,6 @@
 // N-aircraft engine tests: bit-identity of the 2-aircraft path with the
-// pre-refactor engine (golden values captured from the seed code on the
-// same toolchain), per-pair monitor bookkeeping with 3+ aircraft,
+// pre-refactor engine (golden values captured from the in-repo xoshiro256++
+// streams of util/rng.h), per-pair monitor bookkeeping with 3+ aircraft,
 // nearest-threat selection, the tail-step fix, and the reversal monitor.
 #include "sim/simulation.h"
 
@@ -95,23 +95,25 @@ std::shared_ptr<const acasx::LogicTable>* MultiSimWithTableTest::table_ = nullpt
 
 // ---------------------------------------------------------------------------
 // Bit-identity of the refactored 2-aircraft path.  The golden values were
-// captured from the pre-refactor run_encounter on this toolchain; every
-// stochastic draw (ADS-B noise, disturbance, coordination loss) must hit
-// the same stream in the same order for these to match exactly.
+// first captured from the pre-refactor run_encounter, then re-captured once
+// when util/rng.h replaced mt19937_64 and the standard-library
+// distributions with its own engine and draws; every stochastic draw
+// (ADS-B noise, disturbance, coordination loss) must hit the same stream in
+// the same order for these to match exactly.
 
 TEST_F(MultiSimWithTableTest, GoldenNoisyEquippedHeadOn) {
   SimConfig config;  // default noise
   config.max_time_s = 90.0;
   const auto r = run_encounter(config, equipped(state_at(0, 0, 1000, 40, 0, 0)),
                                equipped(state_at(3200, 0, 1000, 40, kPi, 0)), 11);
-  EXPECT_EQ(r.proximity.min_distance_m, 91.488145289202976);
-  EXPECT_EQ(r.proximity.min_horizontal_m, 0.99166033301457901);
+  EXPECT_EQ(r.proximity.min_distance_m, 93.35026753295476);
+  EXPECT_EQ(r.proximity.min_horizontal_m, 0.39648683696987064);
   EXPECT_EQ(r.proximity.min_vertical_m, 0.0);
-  EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.000000000000298);
+  EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.1000000000003);
   EXPECT_FALSE(r.nmac);
   EXPECT_TRUE(r.agents[0].ever_alerted);
   EXPECT_EQ(r.agents[0].first_alert_time_s, 25.000000000000085);
-  EXPECT_EQ(r.agents[0].alert_cycles, 2);
+  EXPECT_EQ(r.agents[0].alert_cycles, 3);
   EXPECT_EQ(r.agents[1].alert_cycles, 3);
   EXPECT_EQ(r.elapsed_s, 89.999999999999162);
 }
@@ -121,11 +123,11 @@ TEST(MultiSim, GoldenNoisyUnequipped) {
   config.max_time_s = 30.0;
   const auto r = run_encounter(config, unequipped(state_at(0, 0, 1000, 30, 0, 0)),
                                unequipped(state_at(1500, 30, 1010, 30, kPi, 0)), 7);
-  EXPECT_EQ(r.proximity.min_distance_m, 37.771413182990507);
-  EXPECT_EQ(r.proximity.min_horizontal_m, 30.041425350531917);
-  EXPECT_EQ(r.proximity.min_vertical_m, 8.5699864733875302);
+  EXPECT_EQ(r.proximity.min_distance_m, 30.393611436157759);
+  EXPECT_EQ(r.proximity.min_horizontal_m, 30.003387762074119);
+  EXPECT_EQ(r.proximity.min_vertical_m, 0.095265176367774984);
   EXPECT_TRUE(r.nmac);
-  EXPECT_EQ(r.nmac_time_s, 22.50000000000005);
+  EXPECT_EQ(r.nmac_time_s, 22.600000000000051);
   EXPECT_FALSE(r.hard_collision);
   EXPECT_EQ(r.elapsed_s, 30.000000000000156);
 }
@@ -138,12 +140,12 @@ TEST_F(MultiSimWithTableTest, GoldenLossyEquipped) {
   config.coordination.message_loss_prob = 0.3;
   const auto r = run_encounter(config, equipped(state_at(0, 0, 1000, 40, 0, 0)),
                                equipped(state_at(3000, 200, 1005, 35, kPi, -1)), 21);
-  EXPECT_EQ(r.proximity.min_distance_m, 219.68830367883143);
-  EXPECT_EQ(r.proximity.min_vertical_m, 0.024361138571407537);
+  EXPECT_EQ(r.proximity.min_distance_m, 221.64031166610869);
+  EXPECT_EQ(r.proximity.min_vertical_m, 0.06673811653820394);
   EXPECT_EQ(r.agents[0].first_alert_time_s, 26.000000000000099);
-  EXPECT_EQ(r.agents[0].alert_cycles, 2);
-  EXPECT_EQ(r.agents[1].first_alert_time_s, 25.000000000000085);
-  EXPECT_EQ(r.agents[1].alert_cycles, 3);
+  EXPECT_EQ(r.agents[0].alert_cycles, 3);
+  EXPECT_EQ(r.agents[1].first_alert_time_s, 26.000000000000099);
+  EXPECT_EQ(r.agents[1].alert_cycles, 2);
 }
 
 // ---------------------------------------------------------------------------
