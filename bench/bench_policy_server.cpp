@@ -227,7 +227,12 @@ int main(int argc, char** argv) {
     joint_table->save(joint_path, mode.quant);
     const double dump_s = seconds_since(t0);
 
+    // Every open verifies both images' checksums over every byte.
+    const auto t1 = std::chrono::steady_clock::now();
     const auto server = serving::PolicyServer::open(pair_path, joint_path);
+    const double open_s = seconds_since(t1);
+    bench::record_metric(std::string("e15.") + mode.tag + ".dump_s", dump_s);
+    bench::record_metric(std::string("e15.") + mode.tag + ".open_s", open_s);
     const double joint_mb = static_cast<double>(server.joint_payload_bytes()) / 1e6;
     if (mode.quant == serving::Quantization::kNone) {
       joint_bytes_f32 = static_cast<double>(server.joint_payload_bytes());
@@ -235,7 +240,8 @@ int main(int argc, char** argv) {
       const double ratio = static_cast<double>(server.joint_payload_bytes()) / joint_bytes_f32;
       bench::record_metric(std::string("e15.joint.") + mode.tag + "_bytes_ratio", ratio);
     }
-    std::printf("  %-4s dump %7.3f s   joint payload %8.2f MB\n", mode.tag, dump_s, joint_mb);
+    std::printf("  %-4s dump %7.3f s   open %7.3f s   joint payload %8.2f MB\n", mode.tag, dump_s,
+                open_s, joint_mb);
   }
 
   // --- Batched vs single-query throughput (pairwise, f32) ----------------

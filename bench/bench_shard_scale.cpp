@@ -1,11 +1,15 @@
 // E17 — Sharded-campaign scaling: the same validation campaign run with
 // 1, 2, and 4 cav_worker processes (dist/campaign_driver.h) must produce
 // BIT-identical rates at every width, and the wall clock should drop as
-// workers are added.  Determinism is the hard gate (non-zero exit on any
-// mismatch); the >=1.5x speedup at 2 workers is an expectation printed as
-// a warning — single-core CI boxes can't honor it and must not fail.
-// A 2-way sharded offline solve rides along as a second determinism probe
-// of the dist layer (tau-layer sweeps reassembled across processes).
+// workers are added.  Two campaigns: TCAS-like on both sides, and ACAS Xu
+// on both sides read from an f32 table image, the path a production
+// campaign takes (every worker opens and maps the image before its first
+// stripe, so its first-result time is recorded too).  Determinism is the
+// hard gate (non-zero exit on any mismatch); the >=1.5x speedup at 2
+// workers is an expectation printed as a warning — single-core CI boxes
+// can't honor it and must not fail.  A 2-way sharded offline solve rides
+// along as a second determinism probe of the dist layer (tau-layer sweeps
+// reassembled across processes).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +33,47 @@ bool rates_identical(const cav::core::SystemRates& a, const cav::core::SystemRat
          a.mean_min_separation_m == b.mean_min_separation_m;
 }
 
+/// Run `spec` at 1, 2 and 4 workers: one table row and `<prefix>w<N>.*`
+/// metrics per width.  The 1-worker run is in-process and has no first
+/// result to time.  Returns the walls; clears `identical` on any width
+/// whose rates differ from the 1-worker run's.
+std::vector<double> scaling_rows(const cav::dist::CampaignSpec& spec, const std::string& prefix,
+                                 bool& identical) {
+  using namespace cav;
+  std::printf("%-8s %-12s %-12s %-14s %-10s %-10s %-s\n", "workers", "NMAC rate", "wall [s]",
+              "first res [s]", "enc/s", "requeues", "bit-identical");
+  std::vector<double> walls;
+  core::SystemRates reference;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    dist::CampaignDriverOptions options;
+    options.num_workers = workers;
+    const auto t0 = std::chrono::steady_clock::now();
+    double first_result_s = -1.0;
+    options.on_result = [&](std::size_t done, std::size_t) {
+      if (done == 1) first_result_s = seconds_since(t0);
+    };
+    const core::CampaignResult result = dist::run_sharded_campaign(spec, options);
+    const double wall_s = seconds_since(t0);
+    walls.push_back(wall_s);
+
+    if (workers == 1) reference = result.rates;
+    const bool same = rates_identical(result.rates, reference);
+    identical = identical && same;
+
+    const double enc_per_s = static_cast<double>(spec.config.encounters) / wall_s;
+    char first[32] = "-";
+    if (first_result_s >= 0.0) std::snprintf(first, sizeof first, "%.3f", first_result_s);
+    std::printf("%-8zu %-12.4f %-12.3f %-14s %-10.1f %-10zu %s\n", workers,
+                result.rates.nmac_rate(), wall_s, first, enc_per_s, result.requeues,
+                same ? "yes" : "NO  <-- FAILURE");
+    const std::string key = prefix + "w" + std::to_string(workers) + ".";
+    bench::record_metric(key + "wall_s", wall_s);
+    bench::record_metric(key + "enc_per_s", enc_per_s);
+    if (first_result_s >= 0.0) bench::record_metric(key + "first_result_s", first_result_s);
+  }
+  return walls;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,38 +94,11 @@ int main(int argc, char** argv) {
   spec.own_cas = dist::CasSpec::tcas_like();
   spec.intruder_cas = dist::CasSpec::tcas_like();
 
-  std::printf("workload: %zu encounters, TCAS-like both sides, stripes handed to\n"
+  std::printf("workload: %zu encounters, TCAS-like both sides, one-cell stripes handed to\n"
               "forked cav_worker processes over the dist/wire.h pipe protocol\n\n",
               encounters);
-  std::printf("%-8s %-12s %-12s %-10s %-10s %-s\n", "workers", "NMAC rate", "wall [s]",
-              "enc/s", "requeues", "bit-identical");
-
   bool determinism_ok = true;
-  std::vector<double> walls;
-  core::SystemRates reference;
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    dist::CampaignDriverOptions options;
-    options.num_workers = workers;
-    options.stripes_per_worker = 4;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::CampaignResult result = dist::run_sharded_campaign(spec, options);
-    const double wall_s = seconds_since(t0);
-    walls.push_back(wall_s);
-
-    if (workers == 1) reference = result.rates;
-    const bool identical = rates_identical(result.rates, reference);
-    determinism_ok = determinism_ok && identical;
-
-    std::printf("%-8zu %-12.4f %-12.3f %-10.1f %-10zu %s\n", workers,
-                result.rates.nmac_rate(), wall_s,
-                static_cast<double>(encounters) / wall_s, result.requeues,
-                identical ? "yes" : "NO  <-- FAILURE");
-    const std::string prefix = "e17.w" + std::to_string(workers) + ".";
-    bench::record_metric(prefix + "wall_s", wall_s);
-    bench::record_metric(prefix + "enc_per_s", static_cast<double>(encounters) / wall_s);
-  }
-
+  const std::vector<double> walls = scaling_rows(spec, "e17.", determinism_ok);
   const double speedup2 = walls[0] / walls[1];
   const double speedup4 = walls[0] / walls[2];
   bench::record_metric("e17.speedup_2w", speedup2);
@@ -100,6 +118,22 @@ int main(int argc, char** argv) {
   } else {
     std::printf("2-worker speedup meets the >=1.5x expectation on this %u-core host\n", cores);
   }
+
+  // The same widths for ACAS Xu on both sides, read from one f32 image of
+  // the standard table (coarse in smoke mode).
+  const std::string acas_image = bench::output_dir() + "/e17_acas_f32.img";
+  bench::standard_table()->save(acas_image);
+  dist::CampaignSpec acas = spec;
+  acas.system_name = "acas-xu-image";
+  acas.own_cas = dist::CasSpec::acas_xu(acas_image);
+  acas.intruder_cas = dist::CasSpec::acas_xu(acas_image);
+  std::printf("\nworkload: %zu encounters, ACAS Xu both sides from one f32 table image\n\n",
+              encounters);
+  const std::vector<double> acas_walls = scaling_rows(acas, "e17.acas.", determinism_ok);
+  bench::record_metric("e17.acas.speedup_4w", acas_walls[0] / acas_walls[2]);
+  std::printf("\nACAS Xu speedup vs 1 worker: 2w %.2fx, 4w %.2fx\n",
+              acas_walls[0] / acas_walls[1], acas_walls[0] / acas_walls[2]);
+  std::remove(acas_image.c_str());
 
   // Second determinism probe: a 2-way sharded offline solve (tau layers
   // swept by grid slice across the fleet) against the serial solver.  The

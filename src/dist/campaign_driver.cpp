@@ -175,9 +175,7 @@ core::CampaignResult run_sharded_campaign(const CampaignSpec& spec,
   const core::ValidationCampaign campaign = materialize_campaign(spec);
   run.campaign = &campaign;
 
-  const std::size_t want_stripes =
-      std::max<std::size_t>(1, options.num_workers * std::max<std::size_t>(1, options.stripes_per_worker));
-  run.stripes = campaign.make_stripes(want_stripes);
+  run.stripes = campaign.make_stripes(campaign.num_cells());
   run.report.work_units = run.stripes.size();
   run.respawns_left = options.max_respawns;
 

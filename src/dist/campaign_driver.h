@@ -2,12 +2,14 @@
 // EncounterStripe work units off one driver (ROADMAP item 2).
 //
 // The driver materializes the same core::ValidationCampaign the workers
-// do, partitions it with make_stripes(), hands stripes out over the
-// dist/wire.h pipe protocol, and merges the StripeResult partials through
-// ValidationCampaign::merge — so the merged SystemRates are BIT-IDENTICAL
-// to the single-process run for any worker count, stripe count, or
+// do, cuts it into one stripe per canonical cell, hands stripes out over
+// the dist/wire.h pipe protocol, and merges the StripeResult partials
+// through ValidationCampaign::merge — so the merged SystemRates are
+// BIT-IDENTICAL to the single-process run for any worker count or
 // completion order (the canonical-cell contract; asserted in
-// tests/test_dist_campaign.cpp).
+// tests/test_dist_campaign.cpp).  One-cell stripes bound both the tail
+// (the last busy worker finishes at most one cell after the others go
+// idle) and the loss to a dead worker (one cell, re-run).
 //
 // Degraded-mode contract: a campaign NEVER hangs and never silently drops
 // encounters.  A worker that dies (EOF on its pipe) or blows the stripe
@@ -33,11 +35,6 @@ struct CampaignDriverOptions {
   /// Worker processes to spawn.  0 or 1 falls back to running the whole
   /// campaign in-process (still through the stripe surface).
   std::size_t num_workers = 2;
-  /// Target work units per worker: the campaign is cut into
-  /// num_workers * stripes_per_worker stripes (capped by the campaign's
-  /// cell count), so a slow worker strands at most 1/stripes_per_worker
-  /// of its share when it dies.
-  std::size_t stripes_per_worker = 4;
   /// Per-stripe deadline. <= 0 disables (trust workers not to wedge).
   double stripe_deadline_s = 0.0;
   /// Replacement workers the campaign may spawn before giving up on a

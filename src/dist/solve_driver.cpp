@@ -2,7 +2,6 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -16,6 +15,7 @@
 #include "acasx/offline_solver.h"
 #include "dist/process.h"
 #include "dist/wire.h"
+#include "serving/table_io.h"
 #include "util/expect.h"
 
 namespace cav::dist {
@@ -27,9 +27,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
+/// Whether a stencil cache that failed to open is stale and may be compiled
+/// over: missing, another container version, or damaged.  A file that is
+/// not a stencil image at all ("bad magic", "wrong table kind") is refused,
+/// never overwritten.
+bool stale_cache(const serving::TableIoError& e) {
+  return e.reason() == "cannot open" || e.reason() == "bad version" ||
+         e.reason() == "checksum mismatch" || e.reason() == "truncated";
 }
 
 bool same_space(const acasx::StateSpaceConfig& a, const acasx::StateSpaceConfig& b) {
@@ -121,11 +125,14 @@ acasx::LogicTable solve_logic_table_sharded(const acasx::AcasXuConfig& config,
   ShardedSolveReport report;
 
   // Compile-or-reuse the shared stencil image.  The driver keeps the
-  // compiled model either way: it is the in-process fallback kernel.
+  // compiled model either way: it is the in-process fallback kernel.  A
+  // stale image, like one compiled for another config, is compiled over.
   std::optional<acasx::CompiledAcasModel> model;
-  if (file_exists(stencil_image)) {
+  try {
     model.emplace(acasx::CompiledAcasModel::open_stencils(stencil_image));
     if (!same_pair_config(model->config(), config)) model.reset();
+  } catch (const serving::TableIoError& e) {
+    if (!stale_cache(e)) throw;
   }
   if (!model.has_value()) {
     const auto tb = Clock::now();
@@ -260,10 +267,12 @@ acasx::JointLogicTable solve_joint_table_sharded(const acasx::JointConfig& confi
   const auto t0 = Clock::now();
   ShardedSolveReport report;
 
-  std::optional<acasx::JointOfflineSolver> solver;
-  if (file_exists(stencil_image)) {
+  std::optional<acasx::JointOfflineSolver> solver;  // stale images as above
+  try {
     solver.emplace(acasx::JointOfflineSolver::open_stencils(stencil_image));
     if (!same_joint_config(solver->config(), config)) solver.reset();
+  } catch (const serving::TableIoError& e) {
+    if (!stale_cache(e)) throw;
   }
   if (!solver.has_value()) {
     const auto tb = Clock::now();

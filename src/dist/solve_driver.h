@@ -53,10 +53,12 @@ struct ShardedSolveReport {
 };
 
 /// Sharded pairwise solve.  `stencil_image` names the "STEN" image to
-/// share with workers: when the file is missing it is compiled and
-/// written first; when present it is validated against `config`'s grid
-/// and reused.  Returns a table bit-identical to
-/// solve_logic_table(config) (asserted in tests/test_dist_solve.cpp).
+/// share with workers: an image that opens and matches `config` is
+/// reused; a missing, corrupted, truncated, older-format or mismatched one
+/// is compiled and written over first.  A file that is not a stencil image
+/// at all throws serving::TableIoError and is left as it is.  Returns a
+/// table bit-identical to solve_logic_table(config) (asserted in
+/// tests/test_dist_solve.cpp).
 acasx::LogicTable solve_logic_table_sharded(const acasx::AcasXuConfig& config,
                                             const std::string& stencil_image,
                                             const SolveDriverOptions& options = {},

@@ -200,9 +200,13 @@ sim::CasFactory materialize_cas(const CasSpec& spec) {
 }
 
 core::ValidationCampaign materialize_campaign(const CampaignSpec& spec) {
+  // Own-ship and intruder usually fly the same image: one shared factory
+  // means one open, one checksum pass and one mapping.
+  sim::CasFactory own = materialize_cas(spec.own_cas);
+  sim::CasFactory intruder =
+      spec.intruder_cas == spec.own_cas ? own : materialize_cas(spec.intruder_cas);
   return core::ValidationCampaign(encounter::StatisticalEncounterModel(spec.model), spec.config,
-                                  spec.system_name, materialize_cas(spec.own_cas),
-                                  materialize_cas(spec.intruder_cas));
+                                  spec.system_name, std::move(own), std::move(intruder));
 }
 
 void encode_campaign_spec(ByteWriter& out, const CampaignSpec& spec) {

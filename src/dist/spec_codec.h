@@ -6,7 +6,8 @@
 // process boundary.  The distributed layer instead ships a CasSpec: the
 // system KIND plus the table-image paths it needs, which the worker
 // materializes by mmap'ing the same images (serving::TableImage pages are
-// shared physical memory across the whole worker fleet).
+// shared physical memory across the whole worker fleet).  Within one
+// process, own-ship and intruder naming the same files share one table.
 //
 // Every config field crosses the wire explicitly, field by field — no
 // struct memcpy — so the codec breaks loudly (decode_* throws
@@ -46,6 +47,8 @@ struct CasSpec {
   static CasSpec acas_xu(std::string pair_image, std::string joint_image = "") {
     return {CasKind::kAcasXu, std::move(pair_image), std::move(joint_image)};
   }
+
+  bool operator==(const CasSpec&) const = default;
 };
 
 /// Build the factory a spec describes (mmap'ing its images).  Throws
@@ -65,7 +68,9 @@ struct CampaignSpec {
 
 /// Construct the equivalent in-process campaign (materializing both CAS
 /// specs) — used by the worker on kCampaignSetup, and by the driver for
-/// its in-process fallback path, so both run the identical kernel.
+/// its in-process fallback path, so both run the identical kernel.  When
+/// own-ship and intruder specs are equal they share one factory, so their
+/// images are opened and mapped once.
 core::ValidationCampaign materialize_campaign(const CampaignSpec& spec);
 
 void encode_campaign_spec(ByteWriter& out, const CampaignSpec& spec);

@@ -8,29 +8,29 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "serving/xxh64.h"
+
 namespace cav::serving {
 namespace {
 
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kMaxSlabs = 32;
 constexpr std::size_t kAlign = 64;
 constexpr std::size_t kEntryBytes = 24 + 4 + 4 + 8 + 8;  // name, dtype, pad, offset, bytes
 constexpr std::size_t kHeaderBytes = 32;                 // magic..checksum
+constexpr std::size_t kChecksumOffset = 24;
 // Directory capacity is fixed so payload can stream out before the slab
 // count is known; first slab starts at the next 64-byte boundary.
 constexpr std::size_t kPayloadStart =
     ((kHeaderBytes + kMaxSlabs * kEntryBytes) + kAlign - 1) / kAlign * kAlign;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
+/// The image checksum: XXH64 (seed 0) over every byte of the file except
+/// the checksum field itself — header, directory, padding and payload.
+std::uint64_t image_checksum(const std::byte* image, std::size_t bytes) {
+  Xxh64 h;
+  h.update(image, kChecksumOffset);
+  h.update(image + kChecksumOffset + 8, bytes - kChecksumOffset - 8);
+  return h.digest();
 }
 
 std::uint32_t fourcc(std::string_view s) {
@@ -44,8 +44,9 @@ std::uint32_t fourcc(std::string_view s) {
 }  // namespace
 
 TableImageWriter::TableImageWriter(std::string path, std::string_view kind)
-    : path_(std::move(path)), kind_(fourcc(kind)), checksum_(kFnvOffset) {
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
+    : path_(std::move(path)), kind_(fourcc(kind)) {
+  // Read access too: finish() maps the written file to checksum it.
+  std::FILE* f = std::fopen(path_.c_str(), "w+b");
   if (f == nullptr) throw TableIoError("TableImageWriter", "cannot open", path_);
   file_ = f;
   cursor_ = kPayloadStart;
@@ -90,7 +91,6 @@ void TableImageWriter::add_slab(std::string_view name, SlabType dtype, const voi
   if (bytes > 0 && std::fwrite(data, 1, bytes, f) != bytes) {
     throw TableIoError("TableImageWriter::add_slab", "write failed", path_);
   }
-  checksum_ = fnv1a(checksum_, data, bytes);
   entries_.push_back({std::string(name), dtype, cursor_, bytes});
   cursor_ += bytes;
 }
@@ -111,7 +111,6 @@ void TableImageWriter::finish() {
   std::memcpy(header + 8, &kind_, 4);
   std::memcpy(header + 12, &num_slabs, 4);
   std::memcpy(header + 16, &file_bytes, 8);
-  std::memcpy(header + 24, &checksum_, 8);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     unsigned char* e = header + kHeaderBytes + i * kEntryBytes;
     std::memcpy(e, entries_[i].name.c_str(), entries_[i].name.size());
@@ -120,16 +119,27 @@ void TableImageWriter::finish() {
     std::memcpy(e + 32, &entries_[i].offset, 8);
     std::memcpy(e + 40, &entries_[i].bytes, 8);
   }
-  const bool ok = std::fseek(f, 0, SEEK_SET) == 0 &&
-                  std::fwrite(header, 1, sizeof header, f) == sizeof header &&
-                  std::fflush(f) == 0;
+  // The checksum covers the header too: hash the finished file, then patch
+  // the checksum field in.
+  bool ok = std::fseek(f, 0, SEEK_SET) == 0 &&
+            std::fwrite(header, 1, sizeof header, f) == sizeof header && std::fflush(f) == 0;
+  void* base = MAP_FAILED;
+  if (ok) base = ::mmap(nullptr, file_bytes, PROT_READ, MAP_SHARED, ::fileno(f), 0);
+  ok = base != MAP_FAILED;
+  if (ok) {
+    const std::uint64_t checksum =
+        image_checksum(static_cast<const std::byte*>(base), file_bytes);
+    ::munmap(base, file_bytes);
+    ok = std::fseek(f, kChecksumOffset, SEEK_SET) == 0 && std::fwrite(&checksum, 8, 1, f) == 1 &&
+         std::fflush(f) == 0;
+  }
   std::fclose(f);
   file_ = nullptr;
   if (!ok) throw TableIoError("TableImageWriter::finish", "write failed", path_);
   finished_ = true;
 }
 
-TableImage TableImage::open(const std::string& path, const OpenOptions& options) {
+TableImage TableImage::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw TableIoError("TableImage::open", "cannot open", path);
   struct stat st{};
@@ -164,14 +174,19 @@ TableImage TableImage::open(const std::string& path, const OpenOptions& options)
   std::memcpy(&image.kind_, h + 8, 4);
   std::memcpy(&num_slabs, h + 12, 4);
   std::memcpy(&declared_bytes, h + 16, 8);
-  std::memcpy(&checksum, h + 24, 8);
+  std::memcpy(&checksum, h + kChecksumOffset, 8);
   if (magic != kTableImageMagic) throw TableIoError("TableImage::open", "bad magic", path);
   if (version != kVersion) throw TableIoError("TableImage::open", "bad version", path);
+  // The checksum catches corruption anywhere in the file; a crafted file
+  // can carry a valid one, so the structural checks below still bound
+  // every field.
+  if (image_checksum(image.base_, file_bytes) != checksum) {
+    throw TableIoError("TableImage::open", "checksum mismatch", path);
+  }
   if (num_slabs > kMaxSlabs) throw TableIoError("TableImage::open", "bad directory", path);
   if (declared_bytes > file_bytes) throw TableIoError("TableImage::open", "truncated", path);
 
   image.entries_.resize(num_slabs);
-  std::uint64_t running = kFnvOffset;
   for (std::size_t i = 0; i < num_slabs; ++i) {
     Entry& e = image.entries_[i];
     const unsigned char* src = h + kHeaderBytes + i * kEntryBytes;
@@ -180,16 +195,12 @@ TableImage TableImage::open(const std::string& path, const OpenOptions& options)
     std::memcpy(&e.dtype, src + 24, 4);
     std::memcpy(&e.offset, src + 32, 8);
     std::memcpy(&e.bytes, src + 40, 8);
-    if (e.offset % kAlign != 0 || e.offset < kPayloadStart ||
-        e.offset + e.bytes > declared_bytes) {
+    // No sum here may wrap: a crafted offset + bytes past 2^64 would pass
+    // and hand out views beyond the mapping.
+    if (e.offset % kAlign != 0 || e.offset < kPayloadStart || e.offset > declared_bytes ||
+        e.bytes > declared_bytes - e.offset) {
       throw TableIoError("TableImage::open", "bad directory", path);
     }
-    if (options.verify_checksum) {
-      running = fnv1a(running, image.base_ + e.offset, e.bytes);
-    }
-  }
-  if (options.verify_checksum && running != checksum) {
-    throw TableIoError("TableImage::open", "checksum mismatch", path);
   }
   return image;
 }

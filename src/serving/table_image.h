@@ -4,14 +4,20 @@
 // A TableImage is a directory of named, 64-byte-aligned slabs:
 //
 //   +--------------------------------------------------------------+
-//   | header   magic "CAVT" | version | kind fourcc | num_slabs    |
-//   |          file_bytes   | FNV-1a64 payload checksum            |
+//   | header   magic "CAVT" | version 2 | kind fourcc | num_slabs  |
+//   |          file_bytes   | XXH64 checksum (seed 0)              |
 //   | directory (fixed 32 entries x 48 B)                          |
 //   |          name[24] | dtype | offset | bytes                   |
 //   +--------------------------------------------------------------+
 //   | slab 0 payload (64-aligned) ................................ |
 //   | slab 1 payload (64-aligned) ................................ |
 //   +--------------------------------------------------------------+
+//
+// The checksum covers every byte of the file except its own 8-byte field:
+// header fields, the fixed directory, padding and payload
+// (serving/xxh64.h).  Every open verifies it in one pass at memory speed,
+// before it trusts any header or directory field.  Images of another
+// container version are refused ("bad version"); re-dump them.
 //
 // Both LogicTable and JointLogicTable dump into this one container
 // (serving/table_codec.h names their slabs), replacing the two
@@ -63,7 +69,8 @@ constexpr SlabType slab_type_of<std::uint32_t>() { return SlabType::kU32; }
 
 /// Streaming writer: slabs are written to disk as they are added (the
 /// 329 MB joint Q is never double-buffered), the header + directory are
-/// patched in by finish().  Throws TableIoError on every failure.
+/// patched in by finish(), which then hashes the finished file for the
+/// checksum.  Throws TableIoError on every failure.
 class TableImageWriter {
  public:
   /// `kind` is a fourcc naming the payload convention ("PAIR", "JNT2");
@@ -99,7 +106,6 @@ class TableImageWriter {
   std::string path_;
   std::uint32_t kind_ = 0;
   std::vector<Entry> entries_;
-  std::uint64_t checksum_;
   std::uint64_t cursor_ = 0;
   void* file_ = nullptr;  ///< FILE*, opaque to keep <cstdio> out of the header
   bool finished_ = false;
@@ -110,20 +116,11 @@ class TableImageWriter {
 /// shareable via shared_ptr; the mapping lives as long as the object.
 class TableImage {
  public:
-  struct OpenOptions {
-    /// Verify the FNV-1a payload checksum on open (one sequential read
-    /// pass; it also warms the page cache).  Disable only for
-    /// latency-sensitive cold starts that trust the file.
-    bool verify_checksum = true;
-  };
-
-  /// mmap `path` and validate the header.  Throws TableIoError with
-  /// reason "cannot open" / "truncated" / "bad magic" / "bad version" /
-  /// "bad directory" / "checksum mismatch".  (Two overloads instead of a
-  /// `= {}` default: gcc 12 rejects brace-defaulting a nested aggregate
-  /// with member initializers inside its enclosing class.)
-  static TableImage open(const std::string& path, const OpenOptions& options);
-  static TableImage open(const std::string& path) { return open(path, OpenOptions{}); }
+  /// mmap `path`, verify its checksum (one sequential read pass, which
+  /// also warms the page cache) and validate the header and directory.
+  /// Throws TableIoError with reason "cannot open" / "truncated" / "bad
+  /// magic" / "bad version" / "checksum mismatch" / "bad directory".
+  static TableImage open(const std::string& path);
 
   TableImage(TableImage&& other) noexcept;
   TableImage& operator=(TableImage&& other) noexcept;

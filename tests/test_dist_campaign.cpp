@@ -1,7 +1,7 @@
 // Sharded-campaign driver tests against REAL cav_worker processes: the
 // merged rates must be bit-identical to the in-process run, including
-// through worker death (abrupt exit and wedged-worker deadlines), and the
-// campaign must never hang.
+// through worker death (abrupt exit and wedged-worker deadlines) and for
+// ACAS Xu read from a table image, and the campaign must never hang.
 //
 // The worker binary is resolved next to this test binary (both land in
 // the build root); the death tests drive the worker's env knobs
@@ -19,9 +19,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "acasx/offline_solver.h"
 #include "core/monte_carlo.h"
 #include "core/validation_campaign.h"
 #include "dist/spec_codec.h"
@@ -70,7 +72,6 @@ TEST(DistCampaignTest, TwoWorkersMatchSingleProcessBitIdentically) {
 
   CampaignDriverOptions options;
   options.num_workers = 2;
-  options.stripes_per_worker = 3;
   std::size_t results_seen = 0;
   options.on_result = [&results_seen](std::size_t done, std::size_t) { results_seen = done; };
 
@@ -79,7 +80,50 @@ TEST(DistCampaignTest, TwoWorkersMatchSingleProcessBitIdentically) {
   EXPECT_FALSE(sharded.degraded) << "healthy fleet must not degrade";
   EXPECT_EQ(sharded.requeues, 0u);
   EXPECT_EQ(sharded.work_units, results_seen);
-  EXPECT_GT(sharded.work_units, 1u);
+  EXPECT_EQ(sharded.work_units, materialize_campaign(spec).num_cells()) << "one stripe per cell";
+}
+
+/// How many lines of /proc/self/maps map `path`.
+std::size_t mappings_of(const std::string& path) {
+  const std::string canonical = std::filesystem::canonical(path).string();
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    const std::size_t at = line.find('/');
+    n += at != std::string::npos && line.compare(at, std::string::npos, canonical) == 0 ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(DistCampaignTest, AcasXuImageCampaignMatchesInProcess) {
+  // The path a production campaign takes: ACAS Xu on both sides, read
+  // from one f32 image that every worker maps.
+  const std::string image = ::testing::TempDir() + "dist_campaign_acas_" +
+                            std::to_string(::getpid()) + ".img";
+  acasx::solve_logic_table(acasx::AcasXuConfig::coarse()).save(image);
+  CampaignSpec spec = small_spec(64);
+  spec.system_name = "acas-xu-image";
+  spec.own_cas = CasSpec::acas_xu(image);
+  spec.intruder_cas = CasSpec::acas_xu(image);
+
+  core::SystemRates expected;
+  std::size_t cells = 0;
+  {
+    const core::ValidationCampaign campaign = materialize_campaign(spec);
+    EXPECT_EQ(mappings_of(image), 1u) << "own-ship and intruder must share one mapping";
+    expected = campaign.run().rates;
+    cells = campaign.num_cells();
+  }
+  EXPECT_EQ(mappings_of(image), 0u) << "the mapping lives as long as the campaign";
+
+  CampaignDriverOptions options;
+  options.num_workers = 2;
+  const core::CampaignResult sharded = run_sharded_campaign(spec, options);
+  expect_rates_identical(sharded.rates, expected);
+  EXPECT_GT(expected.alerts, 0u) << "the table must actually be consulted";
+  EXPECT_FALSE(sharded.degraded);
+  EXPECT_EQ(sharded.work_units, cells);
+  std::remove(image.c_str());
 }
 
 TEST(DistCampaignTest, SingleWorkerOptionRunsInProcess) {
@@ -101,7 +145,6 @@ TEST(DistCampaignTest, AbruptWorkerDeathRequeuesAndStaysBitIdentical) {
 
   CampaignDriverOptions options;
   options.num_workers = 2;
-  options.stripes_per_worker = 4;
   options.max_respawns = 2;
 
   const core::CampaignResult sharded = run_sharded_campaign(spec, options);
@@ -119,7 +162,6 @@ TEST(DistCampaignTest, ExternallyKilledWorkerIsRecovered) {
 
   CampaignDriverOptions options;
   options.num_workers = 2;
-  options.stripes_per_worker = 3;
   bool killed_one = false;
   options.on_spawn = [&killed_one](pid_t pid) {
     if (!killed_one) {
@@ -143,7 +185,6 @@ TEST(DistCampaignTest, WedgedWorkerHitsDeadlineAndCampaignCompletes) {
 
   CampaignDriverOptions options;
   options.num_workers = 2;
-  options.stripes_per_worker = 3;
   options.stripe_deadline_s = 0.5;
   options.max_respawns = 1;
 

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "acasx/joint_solver.h"
@@ -85,8 +87,33 @@ TEST(DistSolveTest, ShardedPairSolveIsBitIdenticalToSerial) {
   EXPECT_EQ(reuse.stencil_build_s, 0.0) << "existing image must be reused, not recompiled";
 }
 
+/// Overwrite bytes of an existing file in place; a negative `offset`
+/// counts from the end.
+void patch_file(const std::string& path, std::streamoff offset, const void* data,
+                std::size_t bytes) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(offset, offset < 0 ? std::ios::end : std::ios::beg);
+  f.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// Turn a current TableImage into a version-1 file (the container version
+/// is the u32 after the magic).
+void make_version_one(const std::string& path) {
+  const std::uint32_t version_one = 1;
+  patch_file(path, 4, &version_one, sizeof version_one);
+}
+
 TEST(DistSolveTest, StaleStencilImageIsRecompiled) {
-  // An image compiled under a different config must not be trusted.
+  // An image compiled under a different config, written in an older
+  // container version, or corrupted must not be trusted: each is compiled
+  // over, and the table is the serial one every time.  A file that is not
+  // a stencil image is refused instead.
   AcasXuConfig a = tiny_pair_config();
   TempFile image("stale_sten.cavt");
   { acasx::CompiledAcasModel(a).save_stencils(image.path); }
@@ -96,13 +123,33 @@ TEST(DistSolveTest, StaleStencilImageIsRecompiled) {
   b.costs.nmac_cost = 20000.0;   // different preference model
   SolveDriverOptions options;
   options.num_workers = 2;
-  ShardedSolveReport report;
-  const acasx::LogicTable sharded = solve_logic_table_sharded(b, image.path, options, &report);
-  EXPECT_GT(report.stencil_build_s, 0.0) << "mismatched image must be recompiled";
-
   const acasx::LogicTable serial = acasx::solve_logic_table(b);
-  ASSERT_EQ(sharded.num_entries(), serial.num_entries());
-  expect_tables_identical(sharded.values(), serial.values(), serial.num_entries());
+  const auto expect_recompiled = [&](const char* stale) {
+    ShardedSolveReport report;
+    const acasx::LogicTable sharded = solve_logic_table_sharded(b, image.path, options, &report);
+    EXPECT_GT(report.stencil_build_s, 0.0) << stale << " image must be recompiled";
+    ASSERT_EQ(sharded.num_entries(), serial.num_entries());
+    expect_tables_identical(sharded.values(), serial.values(), serial.num_entries());
+  };
+
+  expect_recompiled("mismatched");
+  make_version_one(image.path);
+  expect_recompiled("version-1");
+  const char garbage = 0x5A;
+  patch_file(image.path, -64, &garbage, 1);
+  expect_recompiled("corrupted");
+
+  // A deployed logic table at the stencil path is someone else's file:
+  // the solve refuses it and leaves it intact.
+  acasx::solve_logic_table(a).save(image.path);
+  const std::string deployed = file_bytes(image.path);
+  try {
+    solve_logic_table_sharded(b, image.path, options);
+    ADD_FAILURE() << "a PAIR table image must not be taken for a stencil cache";
+  } catch (const serving::TableIoError& e) {
+    EXPECT_EQ(e.reason(), "wrong table kind");
+  }
+  EXPECT_EQ(file_bytes(image.path), deployed) << "the PAIR table image must be left intact";
 }
 
 TEST(DistSolveTest, ShardedJointSolveIsBitIdenticalToSerial) {
@@ -120,6 +167,14 @@ TEST(DistSolveTest, ShardedJointSolveIsBitIdenticalToSerial) {
   expect_tables_identical(sharded.values(), serial.values(), serial.num_entries());
   EXPECT_FALSE(report.degraded);
   EXPECT_GT(report.workers_used, 0u);
+
+  // A stencil image from an older container version is compiled over too.
+  make_version_one(image.path);
+  ShardedSolveReport stale;
+  const acasx::JointLogicTable again =
+      solve_joint_table_sharded(config, image.path, options, &stale);
+  EXPECT_GT(stale.stencil_build_s, 0.0) << "version-1 image must be recompiled";
+  expect_tables_identical(again.values(), serial.values(), serial.num_entries());
 }
 
 TEST(DistSolveTest, UnspawnableFleetFallsBackBitIdentically) {

@@ -1,16 +1,21 @@
 // The TableImage container (serving/table_image.h) and the table dump /
 // load / mmap paths built on it: save -> load round-trips are bit
 // identical for both tables, mapped views serve the same bytes zero-copy,
-// corruption is caught by the payload checksum, TableIoError carries a
-// machine-checkable (op, reason, path), and the pre-serving ACX1/JTX1
-// formats are rejected.
+// a flip of any byte is caught by the XXH64 checksum (whose known answers
+// are pinned here), a crafted directory cannot point outside the file,
+// TableIoError carries a machine-checkable (op, reason, path), and
+// version-1 images and the pre-serving ACX1/JTX1 formats are rejected.
 #include "serving/table_image.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +24,7 @@
 #include "acasx/logic_table.h"
 #include "acasx/offline_solver.h"
 #include "serving/table_codec.h"
+#include "serving/xxh64.h"
 #include "util/expect.h"
 
 namespace cav::serving {
@@ -132,10 +138,135 @@ TEST_F(ServingImageTest, ChecksumCatchesPayloadCorruption) {
     EXPECT_EQ(e.reason(), "checksum mismatch");
     EXPECT_EQ(e.path(), path);
   }
-  // Trusting callers can skip verification and still map the file.
-  TableImage::OpenOptions trusting;
-  trusting.verify_checksum = false;
-  EXPECT_NO_THROW(TableImage::open(path, trusting));
+  std::remove(path.c_str());
+}
+
+// Raw file access for the byte-level container tests below.
+std::vector<unsigned char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<unsigned char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Container layout, as documented in serving/table_image.h: magic at 0,
+// version at 4, checksum at 24, then the directory, whose first entry
+// keeps its slab offset at +32 and its byte count at +40.
+constexpr std::size_t kVersionField = 4;
+constexpr std::size_t kChecksumField = 24;
+constexpr std::size_t kEntry0Offset = 32 + 32;
+constexpr std::size_t kEntry0Bytes = 32 + 40;
+
+/// The checksum by its definition: XXH64 (seed 0) of every byte except the
+/// 8-byte checksum field.
+std::uint64_t checksum_by_definition(const std::vector<unsigned char>& file) {
+  Xxh64 h;
+  h.update(file.data(), kChecksumField);
+  h.update(file.data() + kChecksumField + 8, file.size() - kChecksumField - 8);
+  return h.digest();
+}
+
+std::string open_failure(const std::string& path) {
+  try {
+    TableImage::open(path);
+  } catch (const TableIoError& e) {
+    return e.reason();
+  }
+  return "opened";
+}
+
+std::uint64_t xxh64_of(const void* data, std::size_t bytes) {
+  Xxh64 h;
+  h.update(data, bytes);
+  return h.digest();
+}
+
+TEST(Xxh64Test, KnownAnswers) {
+  EXPECT_EQ(xxh64_of("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64_of("abc", 3), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one full 32-byte stripe through the four lanes, then the
+  // 8-, 4- and 1-byte tails.
+  const std::string text = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(text.size(), 39u);
+  EXPECT_EQ(xxh64_of(text.data(), text.size()), 0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Xxh64Test, StreamingMatchesOneShotAtEverySplit) {
+  std::vector<unsigned char> data(131);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<unsigned char>(i * 37 + 11);
+  const std::uint64_t whole = xxh64_of(data.data(), data.size());
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    for (const std::size_t step : {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
+      Xxh64 h;
+      h.update(data.data(), cut);
+      for (std::size_t at = cut; at < data.size(); at += step) {
+        h.update(data.data() + at, std::min(step, data.size() - at));
+      }
+      ASSERT_EQ(h.digest(), whole) << "cut " << cut << ", step " << step;
+    }
+  }
+}
+
+TEST(ServingContainerTest, EveryByteIsCoveredAndVersionOneIsRefused) {
+  // A small multi-slab image whose slab sizes leave padding between them.
+  const std::string path = ::testing::TempDir() + "serving_every_byte.img";
+  {
+    const std::vector<double> a = {1.0, -2.5, 3.25};
+    const std::vector<std::uint8_t> b = {1, 2, 3, 4, 5};
+    const std::vector<float> c = {0.5f, 0.25f};
+    TableImageWriter writer(path, "TEST");
+    writer.add_slab("a", std::span<const double>(a));
+    writer.add_slab("b", std::span<const std::uint8_t>(b));
+    writer.add_slab("c", std::span<const float>(c));
+    writer.finish();
+  }
+  const std::vector<unsigned char> good = read_file(path);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, good.data() + kChecksumField, 8);
+  ASSERT_EQ(stored, checksum_by_definition(good));
+  ASSERT_NO_THROW(TableImage::open(path));
+
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    if (i >= kChecksumField && i < kChecksumField + 8) continue;
+    std::vector<unsigned char> bad = good;
+    bad[i] ^= 0x01;
+    write_file(path, bad);
+    // The magic and the version are read first: they say what the file is
+    // and how its checksum is defined.  Every later byte is hashed.
+    const char* want = i < kVersionField       ? "bad magic"
+                       : i < kVersionField + 4 ? "bad version"
+                                               : "checksum mismatch";
+    ASSERT_EQ(open_failure(path), want) << "flipped byte " << i << " of " << good.size();
+  }
+
+  // A version-1 image (byte-wise FNV-1a checksum) is refused outright.
+  std::vector<unsigned char> version_one = good;
+  const std::uint32_t one = 1;
+  std::memcpy(version_one.data() + kVersionField, &one, 4);
+  write_file(path, version_one);
+  EXPECT_EQ(open_failure(path), "bad version");
+  std::remove(path.c_str());
+}
+
+TEST_F(ServingImageTest, WrappingDirectoryEntryIsRejected) {
+  // offset + bytes wraps past 2^64 to 64, under file_bytes; with a valid
+  // checksum the file reaches the directory bounds check, which must
+  // refuse it instead of handing out a view past the mapping.
+  const std::string path = temp_path("serving_wrapping_entry.img");
+  pair_->save(path);
+  std::vector<unsigned char> bytes = read_file(path);
+  const std::uint64_t offset = 1600;
+  const std::uint64_t size = std::numeric_limits<std::uint64_t>::max() - 1535;  // 2^64 - 1536
+  std::memcpy(bytes.data() + kEntry0Offset, &offset, 8);
+  std::memcpy(bytes.data() + kEntry0Bytes, &size, 8);
+  const std::uint64_t checksum = checksum_by_definition(bytes);
+  std::memcpy(bytes.data() + kChecksumField, &checksum, 8);
+  write_file(path, bytes);
+  EXPECT_EQ(open_failure(path), "bad directory");
   std::remove(path.c_str());
 }
 
