@@ -7,7 +7,9 @@
 // gate (non-zero exit on any mismatch); speedup is printed as an
 // expectation only, never gated (same policy as E17).  Each fleet also
 // records the process peak RSS, which follows near pairs now that
-// coordination links exist only over them.
+// coordination links exist only over them, and the serial wall per
+// aircraft decision cycle, which stays flat in K when the per-cycle
+// phases cost O(fleet + near pairs).
 #include <sys/resource.h>
 
 #include <chrono>
@@ -125,6 +127,12 @@ int main(int argc, char** argv) {
                 reference.nmac ? "yes" : "no", reference.stats.peak_active_pairs, "(reference)");
     const std::string key = "e18.k" + std::to_string(k) + ".";
     bench::record_metric(key + "serial.wall_s", serial_s);
+    // Cost per unit of work: flat in K when the engine's per-cycle phases
+    // scale with the fleet and its near pairs (ROADMAP item 2).
+    const double ns_per_agent_cycle =
+        serial_s * 1e9 /
+        (static_cast<double>(k) * static_cast<double>(reference.stats.decision_cycles));
+    bench::record_metric(key + "serial.ns_per_agent_cycle", ns_per_agent_cycle);
 
     std::vector<double> walls;
     for (const int num_lps : {1, 2, 4}) {
@@ -144,8 +152,9 @@ int main(int argc, char** argv) {
     bench::record_metric(key + "speedup_4lp", walls[0] / walls[2]);
     const double rss_mb = peak_rss_mb();
     bench::record_metric(key + "peak_rss_mb", rss_mb);
-    std::printf("%-8zu peak RSS %.1f MB, %zu coordination links\n\n", k, rss_mb,
-                reference.stats.coordination_links);
+    std::printf("%-8zu peak RSS %.1f MB, %zu coordination links, serial %.0f ns per aircraft "
+                "decision cycle\n\n",
+                k, rss_mb, reference.stats.coordination_links, ns_per_agent_cycle);
   }
 
   const unsigned cores = std::thread::hardware_concurrency();

@@ -27,13 +27,17 @@ std::uint16_t f16_encode(float value) {
     return static_cast<std::uint16_t>(sign | 0x7C00U);
   }
   if (abs < 0x38800000U) {  // subnormal half (|x| < 2^-14), incl. zero
-    if (abs < 0x33000000U) return sign;  // rounds to zero
-    const std::uint32_t shift = 126U - (abs >> 23);  // 1..24
+    if (abs < 0x33000000U) return sign;  // below 2^-25: rounds to zero
+    // |x| = mant · 2^(e - 150) with the implicit bit restored, and the half
+    // subnormal unit is 2^-24, so the half mantissa is mant >> shift with
+    // shift = 126 - e, which is 14..24 on [2^-25, 2^-14).
+    const std::uint32_t shift = 126U - (abs >> 23);
     const std::uint32_t mant = (abs & 0x7FFFFFU) | 0x800000U;
-    const std::uint32_t rounded = mant >> (shift + 13);
-    const std::uint32_t rem = mant & ((1U << (shift + 13)) - 1U);
-    const std::uint32_t half = 1U << (shift + 12);
+    const std::uint32_t rounded = mant >> shift;
+    const std::uint32_t rem = mant & ((1U << shift) - 1U);
+    const std::uint32_t half = 1U << (shift - 1);
     std::uint32_t out = rounded;
+    // RNE; a carry out of 0x3FF lands on 0x400, the smallest normal: exact.
     if (rem > half || (rem == half && (rounded & 1U))) ++out;
     return static_cast<std::uint16_t>(sign | out);
   }

@@ -1,7 +1,7 @@
 // Airspace-scale machinery for the event-driven simulation core (ROADMAP
-// item 3): a uniform spatial hash grid over horizontal position so threat
-// gating and pair-monitor activation cost O(near pairs) instead of O(K²),
-// and a deterministic event queue that carries fault-profile transitions
+// item 3): a counting-sort grid over horizontal position so threat gating
+// and pair-monitor activation cost O(near pairs) instead of O(K²), and a
+// deterministic event queue that carries fault-profile transitions
 // (comms-blackout window edges) as first-class scheduled events.
 //
 // Equivalence contract (asserted by tests/test_sim_equivalence.cpp):
@@ -22,10 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,14 +32,13 @@
 
 namespace cav::sim {
 
-/// Parallel logical-process execution (ROADMAP item 3).  The airspace is
-/// partitioned into `num_lps` logical processes — grid-column stripes of
-/// the spatial hash (a cell at integer x-index cx belongs to LP
-/// mod(cx, num_lps)) — whose event loops run on `pool` workers and
-/// synchronize at decision-period boundaries.  Every cross-LP exchange
-/// (near-pair lists, monitor minima) is merged in the grid's canonical
-/// lexicographic order, never in completion order, so the result is
-/// bit-identical to the serial engine for every (num_lps, pool,
+/// Parallel logical-process execution (ROADMAP item 3).  The fleet is
+/// partitioned into `num_lps` logical processes — contiguous aircraft
+/// index ranges (lp_index_range) — whose event loops run on `pool` workers
+/// and synchronize at decision-period boundaries.  Every cross-LP exchange
+/// (near-pair lists, monitor minima) is assembled in LP order, which is
+/// the canonical lexicographic order, never in completion order, so the
+/// result is bit-identical to the serial engine for every (num_lps, pool,
 /// thread-count) choice — including the default {1, nullptr}, which runs
 /// the very same code inline.
 ///
@@ -60,8 +57,10 @@ struct LpConfig {
 /// LP the calls run concurrently (fn must touch only LP-disjoint state);
 /// otherwise they run inline, in LP order, on the calling thread.  The
 /// partition — and therefore every result — depends only on num_lps,
-/// never on the pool's thread count.
-inline void for_each_lp(const LpConfig& parallel, const std::function<void(int)>& fn) {
+/// never on the pool's thread count.  The callable is a template
+/// parameter, so the inline (serial) path is a plain loop.
+template <typename Fn>
+void for_each_lp(const LpConfig& parallel, Fn&& fn) {
   if (parallel.pool != nullptr && parallel.num_lps > 1) {
     parallel.pool->parallel_for(static_cast<std::size_t>(parallel.num_lps),
                                 [&fn](std::size_t lp) { fn(static_cast<int>(lp)); });
@@ -71,8 +70,9 @@ inline void for_each_lp(const LpConfig& parallel, const std::function<void(int)>
 }
 
 /// Contiguous index stripe [begin, end) owned by `lp` out of `num_lps`
-/// over `n` items — the load-balancing partition the per-agent phases
-/// (integration, surveillance) use.  Deterministic in (n, lp, num_lps).
+/// over `n` items — the partition every LP-parallel phase uses (pair
+/// collection, surveillance, integration).  Deterministic in
+/// (n, lp, num_lps).
 inline std::pair<std::size_t, std::size_t> lp_index_range(int lp, int num_lps, std::size_t n) {
   const auto l = static_cast<std::size_t>(lp);
   const auto k = static_cast<std::size_t>(num_lps);
@@ -102,46 +102,55 @@ struct AirspaceConfig {
   static AirspaceConfig legacy() { return {std::numeric_limits<double>::infinity(), {}}; }
 };
 
-/// Uniform hash grid over horizontal (x, y) position with cell size equal
-/// to the query radius, so a 3×3 neighborhood bounds every near pair.
-/// All outputs are in deterministic index order regardless of hash-map
-/// iteration order: pairs are emitted lexicographically (i < j, i
-/// ascending, j ascending within i).
+/// Grid over horizontal (x, y) position with cells at least as large as
+/// the query radius, so the 3×3 stencil around an aircraft's cell bounds
+/// every near pair.  The cells form a dense row-major array over the
+/// positions' bounding box, padded by one empty ring so the stencil never
+/// needs a bounds check; a counting sort orders the aircraft by
+/// (cell, index), which makes the three horizontally adjacent cells of a
+/// stencil row one contiguous run.  All outputs are in deterministic index
+/// order: pairs are emitted lexicographically (i < j, i ascending, j
+/// ascending within i).
 class SpatialHashGrid {
  public:
+  /// The cell array never holds more than 4K + kCellSlack cells: a box
+  /// that would need more doubles the cell size until it fits.
+  static constexpr std::size_t kCellSlack = 64;
+
   /// Rebuild the grid from scratch.  `cell_size_m` must be positive and
-  /// finite; callers with an infinite radius should not use the grid.
+  /// finite (callers with an infinite radius should not use the grid), and
+  /// every position finite.
   void build(const std::vector<Vec3>& positions, double cell_size_m);
 
   /// Append every pair (i, j), i < j, with horizontal separation <=
-  /// `radius_m` to `out`, in lexicographic order.
+  /// `radius_m` to `out`, in lexicographic order.  `radius_m` may not
+  /// exceed the cell size given to build().
   void collect_near_pairs(const std::vector<Vec3>& positions, double radius_m,
-                          std::vector<std::pair<int, int>>* out) const;
+                          std::vector<std::pair<int, int>>* out) const {
+    collect_near_pairs(positions, radius_m, 0, positions.size(), out);
+  }
 
-  /// One logical process's share of collect_near_pairs: the pairs whose
-  /// lower aircraft `i` sits in a grid column owned by `lp` (column cx
-  /// belongs to LP mod(cx, num_lps)).  Output is in the same lexicographic
-  /// order; the LP outputs are disjoint and their (i, j)-sorted union is
-  /// exactly the serial collect_near_pairs list.
-  void collect_near_pairs_stripe(const std::vector<Vec3>& positions, double radius_m, int lp,
-                                 int num_lps, std::vector<std::pair<int, int>>* out) const;
+  /// The share of collect_near_pairs whose lower aircraft i lies in
+  /// [begin, end).  Still lexicographic, so the lists of consecutive index
+  /// ranges concatenate into the full list.
+  void collect_near_pairs(const std::vector<Vec3>& positions, double radius_m, std::size_t begin,
+                          std::size_t end, std::vector<std::pair<int, int>>* out) const;
 
-  /// Grid-column stripe owning the aircraft at `position` (mod of the
-  /// integer cell x-index).  Only valid after build().
-  int stripe_of(const Vec3& position, int num_lps) const;
+  /// Cells in the array, padding ring included.
+  std::size_t num_cells() const { return cell_start_.empty() ? 0 : cell_start_.size() - 1; }
 
  private:
-  static std::uint64_t cell_key(std::int64_t ix, std::int64_t iy) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ix)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(iy));
-  }
-  std::int64_t cell_of(double coord_m) const;
-  void collect_pairs_for(std::size_t i, const std::vector<Vec3>& positions, double radius_m,
-                         std::vector<int>* candidates,
-                         std::vector<std::pair<int, int>>* out) const;
+  struct Member {
+    double x;
+    double y;
+    int id;
+  };
 
   double cell_size_m_ = 0.0;
-  std::unordered_map<std::uint64_t, std::vector<int>> cells_;
+  std::size_t columns_ = 0;                ///< cells per row, padding included
+  std::vector<std::uint32_t> cell_of_;     ///< aircraft -> cell
+  std::vector<std::uint32_t> cell_start_;  ///< cell -> first member; one past the end last
+  std::vector<Member> members_;            ///< sorted by (cell, index)
 };
 
 /// The airspace view the simulation consults once per decision cycle:
@@ -150,10 +159,12 @@ class SpatialHashGrid {
 /// never built.
 ///
 /// With config.parallel.num_lps > 1 (finite radius only), rebuild() fans
-/// the pair collection out across logical processes — each LP walks the
-/// grid columns it owns — and merges the per-LP lists back into the
-/// canonical lexicographic order with one sort, so near_pairs() and
-/// neighbors_of() are bit-identical to the serial rebuild for any LP count.
+/// the pair collection out across logical processes: LP l collects the
+/// pairs whose lower aircraft lies in its index range (lp_index_range),
+/// and the LP lists, concatenated in LP order, are already the canonical
+/// lexicographic list, so near_pairs() and neighbors_of() are
+/// bit-identical to the serial rebuild (the num_lps == 1 case of the same
+/// loop) for any LP count.
 class Airspace {
  public:
   Airspace(const AirspaceConfig& config, std::size_t num_agents);
@@ -175,8 +186,8 @@ class Airspace {
   SpatialHashGrid grid_;
   std::vector<std::pair<int, int>> near_pairs_;
   std::vector<std::vector<int>> neighbors_;
-  /// Per-LP pair-collection scratch, persistent across rebuilds so the
-  /// steady-state cycle makes no allocations.
+  /// Per-LP pair lists, persistent across rebuilds so the steady-state
+  /// cycle makes no allocations.
   std::vector<std::vector<std::pair<int, int>>> lp_pairs_;
   bool built_ = false;
 };

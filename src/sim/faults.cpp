@@ -9,7 +9,8 @@ int draw_burst_length(RngStream& rng, double continue_prob, int cap) {
 }
 
 std::optional<acasx::AircraftTrack> observe_degraded(const AdsbSensor& sensor,
-                                                     const UavState& truth,
+                                                     const Vec3& position_m,
+                                                     const Vec3& velocity_mps,
                                                      const FaultProfile& fault,
                                                      RngStream& noise_rng, RngStream& fault_rng,
                                                      int* burst_cycles_left) {
@@ -18,7 +19,8 @@ std::optional<acasx::AircraftTrack> observe_degraded(const AdsbSensor& sensor,
     return std::nullopt;
   }
 
-  std::optional<acasx::AircraftTrack> received = sensor.observe(truth, noise_rng);
+  std::optional<acasx::AircraftTrack> received =
+      sensor.observe(position_m, velocity_mps, noise_rng);
 
   // A burst can only start on a cycle that would otherwise have been
   // received: the i.i.d. dropout underneath stays untouched and burst

@@ -34,7 +34,6 @@
 
 #include "sim/cas.h"
 #include "sim/sensors.h"
-#include "sim/uav.h"
 #include "util/rng.h"
 #include "util/vec3.h"
 
@@ -110,14 +109,15 @@ struct FaultProfile {
 int draw_burst_length(RngStream& rng, double continue_prob,
                       int cap = FaultProfile::kMaxBurstCycles);
 
-/// One degraded ADS-B reception.  `*burst_cycles_left` is the receiver's
-/// per-target burst state (cycles of outage still to serve); nullopt means
-/// the broadcast was lost (i.i.d. dropout, or a burst was active or just
-/// started).  Noise draws come from `noise_rng` (the same stream and order
+/// One degraded ADS-B reception of the broadcast (position_m,
+/// velocity_mps).  `*burst_cycles_left` is the receiver's per-target burst
+/// state (cycles of outage still to serve); nullopt means the broadcast
+/// was lost (i.i.d. dropout, or a burst was active or just started).  Noise draws come from `noise_rng` (the same stream and order
 /// the undegraded sensor uses); burst start/length draws come from
 /// `fault_rng`, so enabling bias alone changes no draw anywhere.
 std::optional<acasx::AircraftTrack> observe_degraded(const AdsbSensor& sensor,
-                                                     const UavState& truth,
+                                                     const Vec3& position_m,
+                                                     const Vec3& velocity_mps,
                                                      const FaultProfile& fault,
                                                      RngStream& noise_rng, RngStream& fault_rng,
                                                      int* burst_cycles_left);

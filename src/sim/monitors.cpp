@@ -30,48 +30,63 @@ void AccidentDetector::update(double t_s, const Separation& s) {
 PairwiseMonitors::PairwiseMonitors(std::size_t num_agents, const AccidentConfig& config)
     : num_agents_(num_agents), config_(config) {}
 
-void PairwiseMonitors::update_slot(PairSlot& slot, double t_s,
-                                   const std::vector<Vec3>& positions) {
-  const Separation s = Separation::between(positions[slot.a], positions[slot.b]);
+void PairwiseMonitors::update_slot(PairSlot& slot, double t_s, const Vec3& a, const Vec3& b) {
+  const Separation s = Separation::between(a, b);
   slot.proximity.update(t_s, s);
   slot.accidents.update(t_s, s);
 }
 
-std::size_t PairwiseMonitors::find_or_create(std::size_t i, std::size_t j) {
-  const auto [it, created] = index_.try_emplace(slot_key(i, j), slots_.size());
-  if (created) {
+std::size_t PairwiseMonitors::set_active_pairs(const std::vector<std::pair<int, int>>& pairs) {
+  const std::size_t before = slots_.size();
+  const std::size_t indexed = index_.size();
+  active_.clear();
+  // Merge the ascending pair list against the sorted index: a matching
+  // entry re-activates its slot, a gap materializes a new slot at the end
+  // of slots_, in pair order, whose entry is appended past `indexed` and
+  // merged in afterwards.
+  std::size_t cursor = 0;
+  std::uint64_t previous = 0;
+  for (const auto& [i, j] : pairs) {
+    const std::uint64_t key = slot_key(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+    expect(active_.empty() || key > previous, "active pairs must be strictly ascending");
+    previous = key;
+    while (cursor < indexed && index_[cursor].key < key) ++cursor;
+    if (cursor < indexed && index_[cursor].key == key) {
+      active_.push_back(index_[cursor].slot);
+      continue;
+    }
     PairSlot slot;
     slot.a = static_cast<std::uint32_t>(i);
     slot.b = static_cast<std::uint32_t>(j);
     slot.accidents = AccidentDetector(config_);
+    index_.push_back({key, slots_.size()});
+    active_.push_back(slots_.size());
     slots_.push_back(std::move(slot));
-    sorted_valid_ = false;
   }
-  return it->second;
-}
-
-std::size_t PairwiseMonitors::set_active_pairs(const std::vector<std::pair<int, int>>& pairs) {
-  const std::size_t before = slots_.size();
-  active_.clear();
-  for (const auto& [i, j] : pairs) {
-    active_.push_back(find_or_create(static_cast<std::size_t>(i), static_cast<std::size_t>(j)));
-  }
+  std::inplace_merge(index_.begin(), index_.begin() + static_cast<std::ptrdiff_t>(indexed),
+                     index_.end(),
+                     [](const IndexEntry& x, const IndexEntry& y) { return x.key < y.key; });
   return slots_.size() - before;
 }
 
 void PairwiseMonitors::update(double t_s, const std::vector<Vec3>& positions) {
-  for (const std::size_t s : active_) update_slot(slots_[s], t_s, positions);
+  for (const std::size_t s : active_) {
+    PairSlot& slot = slots_[s];
+    update_slot(slot, t_s, positions[slot.a], positions[slot.b]);
+  }
 }
 
 void PairwiseMonitors::update_series(const std::vector<double>& times_s,
-                                     const std::vector<std::vector<Vec3>>& position_rows,
-                                     std::size_t n_rows, int num_lps, ThreadPool* pool) {
+                                     const std::vector<Vec3>& snapshots, std::size_t n_rows,
+                                     int num_lps, ThreadPool* pool) {
   if (active_.empty() || n_rows == 0) return;
   const std::size_t n_active = active_.size();
   auto run_stripe = [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       PairSlot& slot = slots_[active_[k]];
-      for (std::size_t s = 0; s < n_rows; ++s) update_slot(slot, times_s[s], position_rows[s]);
+      const Vec3* row_a = snapshots.data() + slot.a * n_rows;
+      const Vec3* row_b = snapshots.data() + slot.b * n_rows;
+      for (std::size_t s = 0; s < n_rows; ++s) update_slot(slot, times_s[s], row_a[s], row_b[s]);
     }
   };
   if (pool != nullptr && num_lps > 1) {
@@ -87,56 +102,51 @@ void PairwiseMonitors::update_series(const std::vector<double>& times_s,
 void PairwiseMonitors::update_new(double t_s, const std::vector<Vec3>& positions,
                                   std::size_t count) {
   for (std::size_t s = slots_.size() - count; s < slots_.size(); ++s) {
-    update_slot(slots_[s], t_s, positions);
+    PairSlot& slot = slots_[s];
+    update_slot(slot, t_s, positions[slot.a], positions[slot.b]);
   }
+}
+
+const PairwiseMonitors::IndexEntry* PairwiseMonitors::find(std::size_t i, std::size_t j) const {
+  const std::uint64_t key = slot_key(i, j);
+  const auto it = std::lower_bound(index_.begin(), index_.end(), key,
+                                   [](const IndexEntry& e, std::uint64_t k) { return e.key < k; });
+  return it != index_.end() && it->key == key ? &*it : nullptr;
 }
 
 bool PairwiseMonitors::monitored(std::size_t i, std::size_t j) const {
-  return index_.find(slot_key(i, j)) != index_.end();
+  return find(i, j) != nullptr;
 }
 
 const ProximityMeasurer& PairwiseMonitors::proximity(std::size_t i, std::size_t j) const {
-  const auto it = index_.find(slot_key(i, j));
-  expect(it != index_.end(), "pair was never monitored");
-  return slots_[it->second].proximity;
+  const IndexEntry* e = find(i, j);
+  expect(e != nullptr, "pair was never monitored");
+  return slots_[e->slot].proximity;
 }
 
 const AccidentDetector& PairwiseMonitors::accidents(std::size_t i, std::size_t j) const {
-  const auto it = index_.find(slot_key(i, j));
-  expect(it != index_.end(), "pair was never monitored");
-  return slots_[it->second].accidents;
-}
-
-const std::vector<std::size_t>& PairwiseMonitors::sorted_order() const {
-  if (!sorted_valid_) {
-    sorted_.resize(slots_.size());
-    for (std::size_t s = 0; s < slots_.size(); ++s) sorted_[s] = s;
-    std::sort(sorted_.begin(), sorted_.end(), [this](std::size_t x, std::size_t y) {
-      if (slots_[x].a != slots_[y].a) return slots_[x].a < slots_[y].a;
-      return slots_[x].b < slots_[y].b;
-    });
-    sorted_valid_ = true;
-  }
-  return sorted_;
+  const IndexEntry* e = find(i, j);
+  expect(e != nullptr, "pair was never monitored");
+  return slots_[e->slot].accidents;
 }
 
 const ProximityMeasurer& PairwiseMonitors::proximity_at(std::size_t pair) const {
-  return slots_[sorted_order()[pair]].proximity;
+  return slots_[index_[pair].slot].proximity;
 }
 
 const AccidentDetector& PairwiseMonitors::accidents_at(std::size_t pair) const {
-  return slots_[sorted_order()[pair]].accidents;
+  return slots_[index_[pair].slot].accidents;
 }
 
 std::pair<std::size_t, std::size_t> PairwiseMonitors::pair_agents(std::size_t pair) const {
-  const PairSlot& slot = slots_[sorted_order()[pair]];
+  const PairSlot& slot = slots_[index_[pair].slot];
   return {slot.a, slot.b};
 }
 
 ProximityReport PairwiseMonitors::aggregate_proximity() const {
   ProximityReport out;
-  for (const std::size_t s : sorted_order()) {
-    const ProximityReport& r = slots_[s].proximity.report();
+  for (const IndexEntry& e : index_) {
+    const ProximityReport& r = slots_[e.slot].proximity.report();
     if (r.min_distance_m < out.min_distance_m) {
       out.min_distance_m = r.min_distance_m;
       out.time_of_min_distance_s = r.time_of_min_distance_s;

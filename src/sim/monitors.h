@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,21 +107,24 @@ class AccidentDetector {
 /// Monitor slots materialize lazily: the simulation declares each decision
 /// cycle's near-pair set (`set_active_pairs`, from the spatial index) and
 /// only those pairs are allocated and updated, so memory and per-step cost
-/// follow the near-pair count instead of K².  Declaring every pair in
-/// lexicographic order (the dense index's near-pair list) restores the
-/// pre-refactor bank, including the float-aggregation order of
-/// `aggregate_proximity` (first pair wins ties).  Aggregates and
-/// `pair_agents` iterate slots sorted by (i, j), so results are
+/// follow the near-pair count instead of K².  The pair index is a vector of
+/// (pair key, slot) sorted by key, so activation is one merge of the
+/// lexicographic near-pair list against it, and lookups binary-search it.
+/// Declaring every pair in lexicographic order (the dense index's near-pair
+/// list) restores the pre-refactor bank, including the float-aggregation
+/// order of `aggregate_proximity` (first pair wins ties).  Aggregates and
+/// `pair_agents` iterate slots in (i, j) order, so results are
 /// deterministic regardless of activation chronology.
 class PairwiseMonitors {
  public:
   PairwiseMonitors(std::size_t num_agents, const AccidentConfig& config);
 
-  /// Declare this cycle's update set.  Unseen pairs are materialized (the
-  /// caller should `update_new` them at the activation time); pairs that
-  /// drop out keep their slot and minima but stop being updated.
-  /// Returns the number of newly materialized slots, which are the tail
-  /// of the update set passed here.
+  /// Declare this cycle's update set, which must be strictly ascending
+  /// (lexicographic, as Airspace::near_pairs is).  Unseen pairs are
+  /// materialized (the caller should `update_new` them at the activation
+  /// time); pairs that drop out keep their slot and minima but stop being
+  /// updated.  Returns the number of newly materialized slots: they are
+  /// created in pair order and form the tail of the slot list.
   std::size_t set_active_pairs(const std::vector<std::pair<int, int>>& pairs);
 
   /// Update every active pair; `positions` must have `num_agents()` entries
@@ -135,16 +137,17 @@ class PairwiseMonitors {
   void update_new(double t_s, const std::vector<Vec3>& positions, std::size_t count);
 
   /// Replay a whole decision period of position snapshots over the active
-  /// set: slot by slot, each active pair consumes rows [0, n_rows) of
-  /// (times_s, position_rows) in time order — the same per-slot update
-  /// sequence n_rows successive update() calls would apply.  Pair slots
-  /// hold fully disjoint state, so partitioning them into `num_lps`
-  /// contiguous stripes run on `pool` workers is bit-identical to the
-  /// sequential replay for every (num_lps, pool) — including
-  /// num_lps == 1 / pool == nullptr, which runs inline.
-  void update_series(const std::vector<double>& times_s,
-                     const std::vector<std::vector<Vec3>>& position_rows, std::size_t n_rows,
-                     int num_lps, ThreadPool* pool);
+  /// set.  `snapshots` is agent-major: aircraft a's position after substep
+  /// s is snapshots[a * n_rows + s].  Slot by slot, each active pair
+  /// consumes substeps [0, n_rows) of its two contiguous rows in time
+  /// order — the same per-slot update sequence n_rows successive update()
+  /// calls would apply.  Pair slots hold fully disjoint state, so
+  /// partitioning them into `num_lps` contiguous stripes run on `pool`
+  /// workers is bit-identical to the sequential replay for every
+  /// (num_lps, pool) — including num_lps == 1 / pool == nullptr, which
+  /// runs inline.
+  void update_series(const std::vector<double>& times_s, const std::vector<Vec3>& snapshots,
+                     std::size_t n_rows, int num_lps, ThreadPool* pool);
 
   std::size_t num_agents() const { return num_agents_; }
   /// Materialized (ever-monitored) pair count — K(K-1)/2 only in dense mode.
@@ -178,21 +181,23 @@ class PairwiseMonitors {
     ProximityMeasurer proximity;
     AccidentDetector accidents;
   };
+  struct IndexEntry {
+    std::uint64_t key = 0;  ///< slot_key(a, b): sorts like (a, b)
+    std::size_t slot = 0;
+  };
 
   static std::uint64_t slot_key(std::size_t i, std::size_t j) {
     return (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
   }
-  static void update_slot(PairSlot& slot, double t_s, const std::vector<Vec3>& positions);
-  std::size_t find_or_create(std::size_t i, std::size_t j);
-  const std::vector<std::size_t>& sorted_order() const;
+  static void update_slot(PairSlot& slot, double t_s, const Vec3& a, const Vec3& b);
+  /// Index entry of pair (i, j); null when it was never monitored.
+  const IndexEntry* find(std::size_t i, std::size_t j) const;
 
   std::size_t num_agents_;
   AccidentConfig config_;
-  std::vector<PairSlot> slots_;                         ///< creation order
-  std::unordered_map<std::uint64_t, std::size_t> index_;  ///< (i, j) -> slot
-  std::vector<std::size_t> active_;                     ///< this cycle's update set
-  mutable std::vector<std::size_t> sorted_;             ///< slot ids by (a, b); lazy
-  mutable bool sorted_valid_ = false;
+  std::vector<PairSlot> slots_;     ///< creation order
+  std::vector<IndexEntry> index_;   ///< one entry per slot, sorted by key
+  std::vector<std::size_t> active_; ///< this cycle's update set
 };
 
 }  // namespace cav::sim

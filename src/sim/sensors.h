@@ -5,13 +5,18 @@
 // sensor noise by adding white noise to the received information" (§VI.C).
 // Dropout support is our failure-injection extension: a dropped broadcast
 // makes the receiver coast on its last track.
+//
+// A broadcast is the sender's (position, velocity) pair.  The simulation
+// forms it once per decision cycle for every aircraft (arrays filled at
+// decision time) and every receiver's observation reads those arrays, so
+// no receiver recomputes a sender's velocity.
 #pragma once
 
 #include <optional>
 
 #include "acasx/online_logic.h"
-#include "sim/uav.h"
 #include "util/rng.h"
+#include "util/vec3.h"
 
 namespace cav::sim {
 
@@ -26,7 +31,7 @@ struct AdsbConfig {
   static AdsbConfig perfect() { return {0.0, 0.0, 0.0, 0.0, 0.0}; }
 };
 
-/// Turn a true UAV state into a (possibly lost, possibly noisy) track as
+/// Turn a true broadcast into a (possibly lost, possibly noisy) track as
 /// received by the other aircraft.
 class AdsbSensor {
  public:
@@ -34,9 +39,10 @@ class AdsbSensor {
 
   const AdsbConfig& config() const { return config_; }
 
-  /// nullopt models a lost broadcast; otherwise the true state plus white
-  /// noise on every received component.
-  std::optional<acasx::AircraftTrack> observe(const UavState& truth, RngStream& rng) const;
+  /// nullopt models a lost broadcast; otherwise the true position and
+  /// velocity plus white noise on every received component.
+  std::optional<acasx::AircraftTrack> observe(const Vec3& position_m, const Vec3& velocity_mps,
+                                              RngStream& rng) const;
 
  private:
   AdsbConfig config_;

@@ -9,15 +9,6 @@
 #include "util/expect.h"
 
 namespace cav::sim {
-namespace {
-
-acasx::AircraftTrack self_track(const UavState& state) {
-  // Own state is known exactly (GPS/IMU fidelity is far above ADS-B noise
-  // at these scales); only the *other* aircraft are seen through ADS-B.
-  return {state.position_m, state.velocity_mps()};
-}
-
-}  // namespace
 
 bool SimResult::own_nmac() const {
   for (const PairReport& p : pairs) {
@@ -87,6 +78,7 @@ Simulation::Simulation(const SimConfig& config, std::vector<AgentSetup> agents,
     if (runtimes_.back().cas != nullptr) runtimes_.back().cas->reset();
   }
   positions_.resize(runtimes_.size());
+  velocities_.resize(runtimes_.size());
   comms_down_.resize(runtimes_.size(), false);
   blackout_depth_.resize(runtimes_.size(), 0);
 
@@ -105,17 +97,23 @@ Simulation::Simulation(const SimConfig& config, std::vector<AgentSetup> agents,
   }
 }
 
+acasx::AircraftTrack Simulation::self_track(std::size_t i) const {
+  // Own state is known exactly (GPS/IMU fidelity is far above ADS-B noise
+  // at these scales); only the *other* aircraft are seen through ADS-B.
+  return {positions_[i], velocities_[i]};
+}
+
 void Simulation::receive_track(AgentRuntime& me, TrackSlot& slot) {
-  const UavState& truth = runtimes_[static_cast<std::size_t>(slot.target)].agent.state();
+  const auto target = static_cast<std::size_t>(slot.target);
   if (!me.fault.degrades_surveillance()) {
     // The pre-fault seed path, draw for draw.
-    auto received = sensor_.observe(truth, me.rng_adsb);
+    auto received = sensor_.observe(positions_[target], velocities_[target], me.rng_adsb);
     if (received.has_value()) slot.track = *received;
     return;
   }
 
-  auto received = observe_degraded(sensor_, truth, me.fault, me.rng_adsb, me.rng_fault,
-                                   &slot.burst_cycles_left);
+  auto received = observe_degraded(sensor_, positions_[target], velocities_[target], me.fault,
+                                   me.rng_adsb, me.rng_fault, &slot.burst_cycles_left);
   if (received.has_value()) {
     slot.track = *received;
     slot.age_cycles = 0;
@@ -162,9 +160,10 @@ void Simulation::refresh_surveillance() {
   // draw sequence on each aircraft's ADS-B stream is deterministic); coast
   // on the last track heard for an aircraft whose message was lost.
   // Reception touches only the receiving agent's own streams and track
-  // slots and reads truth states that stay frozen until the physics phase,
-  // so the agents partition across logical processes; the per-stream draw
-  // sequences are exactly the legacy interleaved sweep's.  Unequipped
+  // slots and reads the cycle's broadcast arrays, which stay frozen until
+  // the physics phase, so the agents partition across logical processes;
+  // the per-stream draw sequences are exactly the legacy interleaved
+  // sweep's.  Unequipped
   // aircraft (no CAS) hold no surveillance picture and receive nothing,
   // as before.
   const LpConfig& parallel = config_.airspace.parallel;
@@ -203,7 +202,7 @@ void Simulation::decide_for(AgentRuntime& me, std::size_t my_id, double t_s) {
   CasDecision decision;
   bool resolved = false;
   if (config_.threat_policy != ThreatPolicy::kNearest) {
-    const acasx::AircraftTrack own_track = self_track(me.agent.state());
+    const acasx::AircraftTrack own_track = self_track(my_id);
     std::vector<ThreatObservation>& threats = me.threat_scratch;
     threats.clear();
     for (const TrackSlot& slot : me.tracks) {
@@ -227,7 +226,7 @@ void Simulation::decide_for(AgentRuntime& me, std::size_t my_id, double t_s) {
     // Nearest-threat selection: the existing avoidance systems are pairwise,
     // so the engine feeds them the closest track currently held (lowest
     // index on ties).  Stay passive if nothing has ever been heard.
-    const Vec3 my_position = me.agent.state().position_m;
+    const Vec3& my_position = positions_[my_id];
     const TrackSlot* threat = nullptr;
     double threat_distance = std::numeric_limits<double>::infinity();
     for (const TrackSlot& slot : me.tracks) {
@@ -240,7 +239,7 @@ void Simulation::decide_for(AgentRuntime& me, std::size_t my_id, double t_s) {
     }
     if (threat == nullptr) return;
 
-    decision = me.cas->decide(self_track(me.agent.state()), *threat->track,
+    decision = me.cas->decide(self_track(my_id), *threat->track,
                               coord_.forbidden_for(static_cast<int>(my_id), threat->target));
   }
 
@@ -326,9 +325,10 @@ void Simulation::record_sample(double t_s, SimResult& result) const {
   result.trajectory.push_back(std::move(m));
 }
 
-void Simulation::refresh_positions(bool active_only) {
+void Simulation::refresh_broadcasts() {
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
-    if (!active_only || runtimes_[i].active) positions_[i] = runtimes_[i].agent.state().position_m;
+    positions_[i] = runtimes_[i].agent.state().position_m;
+    velocities_[i] = runtimes_[i].agent.velocity_mps();
   }
 }
 
@@ -363,8 +363,10 @@ void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
   });
   for (const std::uint64_t steps : lp_step_counts_) stats->coarse_agent_steps += steps;
 
-  // 3. Rebuild the spatial index at the now-synchronized positions.
-  refresh_positions(false);
+  // 3. Form this cycle's broadcasts (position, velocity) at the
+  //    now-synchronized states — the one place a velocity is computed per
+  //    aircraft per cycle — and rebuild the spatial index from them.
+  refresh_broadcasts();
   airspace_.rebuild(positions_);
 
   // 4. Refresh the monitor set from the near pairs.  Newly materialized
@@ -399,29 +401,31 @@ void Simulation::advance_period(double* t_io, std::size_t n_sub, double tail_dt,
     step_times_[s] = t;
   }
 
-  // Position snapshot rows, seeded with the decision-time positions so an
-  // inactive (coarse) agent contributes its stale position to every
-  // substep — exactly what refresh_positions(active_only=true) left in
-  // place each step of the legacy loop.
-  if (step_positions_.size() < n_sub) step_positions_.resize(n_sub);
-  for (std::size_t s = 0; s < n_sub; ++s) step_positions_[s] = positions_;
-
   // LP event loop: each logical process integrates its agents through the
-  // whole period.  Disturbance draws come from per-agent streams and each
-  // agent writes only its own column of the snapshot rows, so the agent ×
-  // substep iteration order is free — per-agent results are bit-identical
-  // to the legacy substep-major sweep.
+  // whole period.  Snapshots are agent-major — aircraft i's position after
+  // substep s is step_positions_[i * n_sub + s] — so each agent writes one
+  // contiguous row and the replay reads two rows per pair.  An inactive
+  // (coarse) agent fills its row with its decision-time position, the
+  // stale position the legacy loop left in place each step.  Disturbance
+  // draws come from per-agent streams, so the agent × substep iteration
+  // order is free: per-agent results are bit-identical to the legacy
+  // substep-major sweep.
+  step_positions_.resize(runtimes_.size() * n_sub);
   lp_step_counts_.assign(static_cast<std::size_t>(parallel.num_lps), 0);
   for_each_lp(parallel, [&](int lp) {
     const auto [begin, end] = lp_index_range(lp, parallel.num_lps, runtimes_.size());
     std::uint64_t steps = 0;
     for (std::size_t i = begin; i < end; ++i) {
       AgentRuntime& r = runtimes_[i];
-      if (!r.active) continue;
+      Vec3* row = step_positions_.data() + i * n_sub;
+      if (!r.active) {
+        std::fill(row, row + n_sub, positions_[i]);
+        continue;
+      }
       for (std::size_t s = 0; s < n_sub; ++s) {
         const double step_dt = (tail_dt > 0.0 && s + 1 == n_sub) ? tail_dt : dt;
         r.agent.step(step_dt, config_.disturbance, r.rng_disturbance);
-        step_positions_[s][i] = r.agent.state().position_m;
+        row[s] = r.agent.state().position_m;
         ++steps;
       }
       r.last_step_t_s = step_times_[n_sub - 1];

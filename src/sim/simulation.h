@@ -7,6 +7,9 @@
 // the same code and produces the same results.
 //
 // Structure per decision cycle (1 Hz by default):
+//   0. event core: every aircraft's broadcast (position, velocity) is
+//      formed once into flat arrays, the spatial index is rebuilt from
+//      them, and the near pairs are merged into the pair monitors;
 //   1. surveillance: each equipped UAV receives every in-radius aircraft's
 //      ADS-B broadcast (white sensor noise, optional dropout -> coast on
 //      the last track heard for that aircraft; under a FaultProfile
@@ -21,7 +24,9 @@
 //      then broadcasts its own sense (skipped while its comms are blacked
 //      out or the aircraft is coordination-silent);
 //   3. dynamics integrate at the (faster) physics rate with environment
-//      disturbance, while per-pair monitors watch every true separation.
+//      disturbance, each aircraft writing its period's positions into one
+//      contiguous agent-major snapshot row, and the per-pair monitors then
+//      replay every true separation from two rows per pair.
 //
 // Phases 1 and 3 are per-agent / per-pair independent (every draw comes
 // from a per-(seed, purpose, aircraft) stream; truth states are frozen
@@ -239,7 +244,10 @@ class Simulation {
   /// bit-identical to the legacy per-agent interleaving.
   void refresh_surveillance();
   void record_sample(double t_s, SimResult& result) const;
-  void refresh_positions(bool active_only);
+  /// Own-ship track of aircraft i from this cycle's broadcast arrays.
+  acasx::AircraftTrack self_track(std::size_t i) const;
+  /// Fill positions_ and velocities_ from the agents' current states.
+  void refresh_broadcasts();
   /// Drain due fault events, catch up coarse agents, rebuild the spatial
   /// index, refresh the monitor set, and recompute the active set — the
   /// per-decision-cycle event-core work, before the decisions themselves.
@@ -260,15 +268,19 @@ class Simulation {
   RngStream rng_coord_;
   Airspace airspace_;             ///< spatial index + adjacency, rebuilt per cycle
   EventQueue events_;             ///< scheduled fault transitions
-  std::vector<Vec3> positions_;   ///< scratch for index/monitor updates
+  // This cycle's broadcasts, formed once at decision time: every ADS-B
+  // reception, own-ship track, index rebuild and activation-time monitor
+  // update reads these instead of the agents' runtime records.
+  std::vector<Vec3> positions_;
+  std::vector<Vec3> velocities_;
   std::vector<bool> comms_down_;  ///< per-agent blackout mask, event-driven
   std::vector<int> blackout_depth_;  ///< active blackout windows per agent
   // Per-decision-period scratch for the LP event loop (advance_period):
-  // substep times (the serial clock accumulation, precomputed) and one
-  // position snapshot row per substep.  Persistent so the steady-state
-  // period allocates nothing.
+  // substep times (the serial clock accumulation, precomputed) and the
+  // agent-major position snapshots, [agent][substep] with n_sub as the
+  // stride.  Persistent so the steady-state period allocates nothing.
   std::vector<double> step_times_;
-  std::vector<std::vector<Vec3>> step_positions_;
+  std::vector<Vec3> step_positions_;
   std::vector<std::uint64_t> lp_step_counts_;  ///< per-LP step tallies, summed serially
 };
 

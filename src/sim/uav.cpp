@@ -45,9 +45,10 @@ void UavAgent::step(double dt_s, const DisturbanceConfig& disturbance, RngStream
 
   if (turn_command_.active) {
     state_.bearing_rad = wrap_pi(state_.bearing_rad + turn_command_.rate_rad_s * dt_s);
+    cache_bearing_trig();
   }
 
-  state_.position_m += state_.velocity_mps() * dt_s;
+  state_.position_m += velocity_mps() * dt_s;
 }
 
 }  // namespace cav::sim

@@ -5,8 +5,15 @@
 // environment disturbance"; when avoidance commands are issued they
 // maneuver accordingly (vertical-rate capture with bounded acceleration,
 // the same response model the offline MDP assumes).
+//
+// The agent caches cos/sin of its bearing and recomputes them only when a
+// turn changes the bearing, so a step, and every velocity the engine
+// broadcasts, costs no trig while the aircraft flies straight (which
+// vertical-only ACAS Xu traffic always does).  The cached velocity is
+// bit-identical to UavState::velocity_mps().
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/rng.h"
@@ -71,10 +78,18 @@ class UavAgent {
         state_(initial),
         perf_(perf),
         nominal_vs_mps_(initial.vertical_speed_mps),
-        nominal_gs_mps_(initial.ground_speed_mps) {}
+        nominal_gs_mps_(initial.ground_speed_mps) {
+    cache_bearing_trig();
+  }
 
   int id() const { return id_; }
   const UavState& state() const { return state_; }
+
+  /// state().velocity_mps(), bit for bit, from the cached bearing trig.
+  Vec3 velocity_mps() const {
+    return {state_.ground_speed_mps * cos_bearing_, state_.ground_speed_mps * sin_bearing_,
+            state_.vertical_speed_mps};
+  }
   const UavPerformance& performance() const { return perf_; }
   const VerticalCommand& command() const { return command_; }
 
@@ -89,6 +104,11 @@ class UavAgent {
   void step(double dt_s, const DisturbanceConfig& disturbance, RngStream& rng);
 
  private:
+  void cache_bearing_trig() {
+    cos_bearing_ = std::cos(state_.bearing_rad);
+    sin_bearing_ = std::sin(state_.bearing_rad);
+  }
+
   int id_;
   UavState state_;
   UavPerformance perf_;
@@ -96,6 +116,8 @@ class UavAgent {
   TurnCommand turn_command_;
   double nominal_vs_mps_;  ///< flight-plan vertical rate (reversion target)
   double nominal_gs_mps_;  ///< flight-plan ground speed (reversion target)
+  double cos_bearing_ = 1.0;  ///< cos(state_.bearing_rad)
+  double sin_bearing_ = 0.0;  ///< sin(state_.bearing_rad)
 };
 
 }  // namespace cav::sim

@@ -1,11 +1,14 @@
-// Airspace-core unit tests: the spatial hash grid against a brute-force
-// reference on random clouds, deterministic adjacency, the event queue's
-// ordering contract, and the lazily-materialized pair-monitor bank.
+// Airspace-core unit tests: the spatial grid against a brute-force
+// reference on random clouds and edge inputs (a far outlier, negative
+// lattices on cell boundaries, pairs within ulps of the radius) at every
+// LP count, deterministic adjacency, the event queue's ordering contract,
+// and the lazily-materialized pair-monitor bank.
 #include "sim/airspace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -28,14 +31,15 @@ std::vector<Vec3> random_cloud(std::size_t n, double extent_m, std::uint64_t see
   return positions;
 }
 
+/// The contract: every pair with horizontal_distance <= radius, i.e.
+/// std::hypot on the coordinate differences (not the squared sum, which
+/// disagrees within an ulp or so of the radius).
 std::vector<std::pair<int, int>> brute_force_pairs(const std::vector<Vec3>& positions,
                                                    double radius_m) {
   std::vector<std::pair<int, int>> pairs;
   for (std::size_t i = 0; i < positions.size(); ++i) {
     for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      const double dx = positions[i].x - positions[j].x;
-      const double dy = positions[i].y - positions[j].y;
-      if (dx * dx + dy * dy <= radius_m * radius_m) {
+      if (horizontal_distance(positions[i], positions[j]) <= radius_m) {
         pairs.emplace_back(static_cast<int>(i), static_cast<int>(j));
       }
     }
@@ -43,15 +47,82 @@ std::vector<std::pair<int, int>> brute_force_pairs(const std::vector<Vec3>& posi
   return pairs;
 }
 
+/// Pairs placed within a few ulps of the radius apart, spread over a
+/// lattice of anchors 3 radii apart so they do not interact.
+std::vector<Vec3> radius_band_cloud(double radius_m, std::uint64_t seed) {
+  RngStream rng = RngStream::derive(seed, "band");
+  std::vector<Vec3> positions;
+  for (int p = 0; p < 200; ++p) {
+    const Vec3 anchor{3.0 * radius_m * (p % 20) - 7.0 * radius_m,
+                      3.0 * radius_m * (p / 20) - 5.0 * radius_m, 1000.0};
+    const double theta = rng.uniform(0.0, 6.283185307179586);
+    Vec3 other{anchor.x + radius_m * std::cos(theta), anchor.y + radius_m * std::sin(theta),
+               1000.0};
+    for (double* c : {&other.x, &other.y}) {
+      for (int ulps = static_cast<int>(rng.uniform_int(-3, 3)); ulps != 0;
+           ulps += ulps > 0 ? -1 : 1) {
+        *c = std::nextafter(*c, ulps > 0 ? HUGE_VAL : -HUGE_VAL);
+      }
+    }
+    positions.push_back(anchor);
+    positions.push_back(other);
+  }
+  return positions;
+}
+
+/// Inputs beyond uniform clouds: an outlier that forces the grid to
+/// coarsen, all-negative lattices with points on cell boundaries (spacing
+/// the radius, and the grid's cell of radius·(1 + 2^-12)), and pairs
+/// within a few ulps of the radius.
+std::vector<std::vector<Vec3>> grid_inputs(double radius_m, std::uint64_t seed) {
+  std::vector<std::vector<Vec3>> inputs;
+  inputs.push_back(random_cloud(120, 10000.0, seed));
+  inputs.push_back(random_cloud(120, 10000.0, seed));
+  inputs.back().push_back({1e7, -1e7, 1000.0});
+  const double cell = radius_m * (1.0 + 1.0 / 4096.0);
+  for (const auto& [ax, ay] : {std::pair{radius_m, radius_m}, std::pair{cell, radius_m},
+                               std::pair{0.5 * radius_m, cell}}) {
+    std::vector<Vec3> lattice;
+    for (int k = 0; k < 10; ++k) {
+      for (int m = 0; m < 10; ++m) lattice.push_back({-ax * (k + 1), -ay * (m + 1), 1000.0});
+    }
+    inputs.push_back(std::move(lattice));
+  }
+  inputs.push_back(radius_band_cloud(radius_m, seed));
+  return inputs;
+}
+
+/// Pairs (2p, 2p + 1) of a radius_band_cloud that dx² + dy² <= r²
+/// classifies differently from the contract.
+int squared_test_disagreements(const std::vector<Vec3>& positions, double radius_m) {
+  int disagreements = 0;
+  for (std::size_t p = 0; p + 1 < positions.size(); p += 2) {
+    const double dx = positions[p].x - positions[p + 1].x;
+    const double dy = positions[p].y - positions[p + 1].y;
+    const bool squared = dx * dx + dy * dy <= radius_m * radius_m;
+    disagreements += squared != (horizontal_distance(positions[p], positions[p + 1]) <= radius_m);
+  }
+  return disagreements;
+}
+
 TEST(SpatialHashGrid, MatchesBruteForceOnRandomClouds) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     for (const double radius : {500.0, 2000.0, 8000.0}) {
-      const auto positions = random_cloud(120, 10000.0, seed);
-      SpatialHashGrid grid;
-      grid.build(positions, radius);
-      std::vector<std::pair<int, int>> pairs;
-      grid.collect_near_pairs(positions, radius, &pairs);
-      EXPECT_EQ(pairs, brute_force_pairs(positions, radius))
+      const auto inputs = grid_inputs(radius, seed);
+      for (std::size_t c = 0; c < inputs.size(); ++c) {
+        const auto& positions = inputs[c];
+        SpatialHashGrid grid;
+        grid.build(positions, radius);
+        EXPECT_LE(grid.num_cells(), 4 * positions.size() + SpatialHashGrid::kCellSlack)
+            << "seed " << seed << " radius " << radius << " input " << c;
+        std::vector<std::pair<int, int>> pairs;
+        grid.collect_near_pairs(positions, radius, &pairs);
+        EXPECT_EQ(pairs, brute_force_pairs(positions, radius))
+            << "seed " << seed << " radius " << radius << " input " << c;
+      }
+      // The band cloud (last input) guards the hypot fallback only if the
+      // squared test gets some of its pairs wrong.
+      EXPECT_GT(squared_test_disagreements(inputs.back(), radius), 0)
           << "seed " << seed << " radius " << radius;
     }
   }
@@ -100,20 +171,32 @@ TEST(Airspace, AllPairsModeListsEveryPairWithoutPositions) {
 }
 
 TEST(Airspace, GridAdjacencyMatchesPairList) {
-  AirspaceConfig config;
-  config.interaction_radius_m = 2000.0;
-  const auto positions = random_cloud(60, 5000.0, 11);
-  Airspace airspace(config, positions.size());
-  airspace.rebuild(positions);
-
-  std::vector<std::vector<int>> expected(positions.size());
-  for (const auto& [i, j] : airspace.near_pairs()) {
-    expected[static_cast<std::size_t>(i)].push_back(j);
-    expected[static_cast<std::size_t>(j)].push_back(i);
-  }
-  for (auto& adj : expected) std::sort(adj.begin(), adj.end());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_EQ(airspace.neighbors_of(i), expected[i]) << i;
+  // Every LP count collects the brute-force pair list and the adjacency it
+  // implies, on uniform clouds and on the grid's edge inputs.
+  ThreadPool pool(3);
+  std::vector<std::vector<Vec3>> inputs = grid_inputs(2000.0, 11);
+  inputs.insert(inputs.begin(), random_cloud(60, 5000.0, 11));
+  for (std::size_t c = 0; c < inputs.size(); ++c) {
+    const auto& positions = inputs[c];
+    const auto pairs = brute_force_pairs(positions, 2000.0);
+    std::vector<std::vector<int>> expected(positions.size());
+    for (const auto& [i, j] : pairs) {
+      expected[static_cast<std::size_t>(i)].push_back(j);
+      expected[static_cast<std::size_t>(j)].push_back(i);
+    }
+    for (auto& adj : expected) std::sort(adj.begin(), adj.end());
+    for (int num_lps = 1; num_lps <= 5; ++num_lps) {
+      AirspaceConfig config;
+      config.interaction_radius_m = 2000.0;
+      config.parallel = {num_lps, num_lps > 1 ? &pool : nullptr};
+      Airspace airspace(config, positions.size());
+      airspace.rebuild(positions);
+      EXPECT_EQ(airspace.near_pairs(), pairs) << "input " << c << " lps " << num_lps;
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        EXPECT_EQ(airspace.neighbors_of(i), expected[i])
+            << "input " << c << " lps " << num_lps << " agent " << i;
+      }
+    }
   }
 }
 
@@ -322,11 +405,17 @@ TEST(PairwiseMonitors, UpdateSeriesMatchesSequentialReplayForAnyPartition) {
   reference.set_active_pairs(pairs);
   for (std::size_t s = 0; s < n_rows; ++s) reference.update(times[s], rows[s]);
 
+  // update_series reads the same snapshots agent-major: [agent][substep].
+  std::vector<Vec3> snapshots(num_agents * n_rows);
+  for (std::size_t s = 0; s < n_rows; ++s) {
+    for (std::size_t a = 0; a < num_agents; ++a) snapshots[a * n_rows + s] = rows[s][a];
+  }
+
   ThreadPool pool(3);
   for (const int num_lps : {1, 2, 5}) {
     PairwiseMonitors partitioned(num_agents, AccidentConfig{});
     partitioned.set_active_pairs(pairs);
-    partitioned.update_series(times, rows, n_rows, num_lps, num_lps > 1 ? &pool : nullptr);
+    partitioned.update_series(times, snapshots, n_rows, num_lps, num_lps > 1 ? &pool : nullptr);
     ASSERT_EQ(partitioned.num_pairs(), reference.num_pairs()) << num_lps;
     for (std::size_t p = 0; p < reference.num_pairs(); ++p) {
       EXPECT_EQ(partitioned.pair_agents(p), reference.pair_agents(p)) << num_lps << " " << p;

@@ -8,19 +8,15 @@
 namespace cav::sim {
 namespace {
 
-UavState level_state() {
-  UavState s;
-  s.position_m = {100.0, 200.0, 1000.0};
-  s.ground_speed_mps = 30.0;
-  s.bearing_rad = 0.0;
-  s.vertical_speed_mps = 1.0;
-  return s;
-}
+// A level aircraft's broadcast: 30 m/s ground speed on bearing 0, climbing
+// at 1 m/s.
+const Vec3 kPosition{100.0, 200.0, 1000.0};
+const Vec3 kVelocity{30.0, 0.0, 1.0};
 
 TEST(AdsbSensor, PerfectConfigIsExact) {
   const AdsbSensor sensor(AdsbConfig::perfect());
   RngStream rng(1);
-  const auto track = sensor.observe(level_state(), rng);
+  const auto track = sensor.observe(kPosition, kVelocity, rng);
   ASSERT_TRUE(track.has_value());
   EXPECT_EQ(track->position_m, (Vec3{100.0, 200.0, 1000.0}));
   EXPECT_EQ(track->velocity_mps, (Vec3{30.0, 0.0, 1.0}));
@@ -38,9 +34,8 @@ TEST(AdsbSensor, NoiseIsUnbiasedWithConfiguredSpread) {
   RunningStats x;
   RunningStats z;
   RunningStats vz;
-  const UavState truth = level_state();
   for (int i = 0; i < 20000; ++i) {
-    const auto track = sensor.observe(truth, rng);
+    const auto track = sensor.observe(kPosition, kVelocity, rng);
     ASSERT_TRUE(track.has_value());
     x.add(track->position_m.x);
     z.add(track->position_m.z);
@@ -62,7 +57,7 @@ TEST(AdsbSensor, DropoutFrequencyMatchesConfig) {
   int lost = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (!sensor.observe(level_state(), rng).has_value()) ++lost;
+    if (!sensor.observe(kPosition, kVelocity, rng).has_value()) ++lost;
   }
   EXPECT_NEAR(lost / static_cast<double>(n), 0.25, 0.02);
 }
@@ -71,7 +66,7 @@ TEST(AdsbSensor, ZeroDropoutNeverLoses) {
   const AdsbSensor sensor(AdsbConfig{});
   RngStream rng(4);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(sensor.observe(level_state(), rng).has_value());
+    EXPECT_TRUE(sensor.observe(kPosition, kVelocity, rng).has_value());
   }
 }
 
@@ -91,7 +86,7 @@ TEST(AdsbDegraded, BurstDropoutRateMatchesTheory) {
   int lost = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    if (!observe_degraded(sensor, level_state(), fault, noise, fault_rng, &burst_left)
+    if (!observe_degraded(sensor, kPosition, kVelocity, fault, noise, fault_rng, &burst_left)
              .has_value()) {
       ++lost;
     }
@@ -115,9 +110,9 @@ TEST(AdsbDegraded, BiasShiftsMeanWithoutChangingSigma) {
   RunningStats x;
   RunningStats y;
   RunningStats vz;
-  const UavState truth = level_state();
   for (int i = 0; i < 20000; ++i) {
-    const auto track = observe_degraded(sensor, truth, fault, noise, fault_rng, &burst_left);
+    const auto track =
+        observe_degraded(sensor, kPosition, kVelocity, fault, noise, fault_rng, &burst_left);
     ASSERT_TRUE(track.has_value());
     x.add(track->position_m.x);
     y.add(track->position_m.y);
@@ -140,7 +135,7 @@ TEST(AdsbDegraded, BiasOnlyProfileConsumesNoFaultDraws) {
   RngStream fault_ref(10);
   int burst_left = 0;
   for (int i = 0; i < 100; ++i) {
-    observe_degraded(sensor, level_state(), fault, noise, fault_rng, &burst_left);
+    observe_degraded(sensor, kPosition, kVelocity, fault, noise, fault_rng, &burst_left);
   }
   EXPECT_EQ(fault_rng.next_u64(), fault_ref.next_u64());
 }
@@ -156,9 +151,9 @@ TEST(AdsbDegraded, NoneProfileMatchesPlainSensorDrawForDraw) {
   RngStream fault_rng(12);
   int burst_left = 0;
   for (int i = 0; i < 200; ++i) {
-    const auto plain = sensor.observe(level_state(), a);
-    const auto degraded = observe_degraded(sensor, level_state(), FaultProfile::none(), b,
-                                           fault_rng, &burst_left);
+    const auto plain = sensor.observe(kPosition, kVelocity, a);
+    const auto degraded = observe_degraded(sensor, kPosition, kVelocity, FaultProfile::none(),
+                                           b, fault_rng, &burst_left);
     ASSERT_EQ(plain.has_value(), degraded.has_value());
     if (plain.has_value()) {
       EXPECT_EQ(plain->position_m, degraded->position_m);
@@ -180,8 +175,8 @@ TEST(AdsbSensor, DeterministicPerStream) {
   const AdsbSensor sensor(AdsbConfig{});
   RngStream a(9);
   RngStream b(9);
-  const auto ta = sensor.observe(level_state(), a);
-  const auto tb = sensor.observe(level_state(), b);
+  const auto ta = sensor.observe(kPosition, kVelocity, a);
+  const auto tb = sensor.observe(kPosition, kVelocity, b);
   ASSERT_TRUE(ta.has_value() && tb.has_value());
   EXPECT_EQ(ta->position_m, tb->position_m);
   EXPECT_EQ(ta->velocity_mps, tb->velocity_mps);

@@ -120,7 +120,11 @@ TEST(TurnCommand, BearingWrapsAcrossPi) {
   turn.rate_rad_s = 0.2;
   agent.set_turn_command(turn);
   RngStream rng(3);
-  for (int i = 0; i < 10; ++i) agent.step(0.1, DisturbanceConfig::none(), rng);
+  for (int i = 0; i < 10; ++i) {
+    agent.step(0.1, DisturbanceConfig::none(), rng);
+    // The cached bearing trig follows the wrap bit for bit.
+    ASSERT_EQ(agent.velocity_mps(), agent.state().velocity_mps()) << "step " << i;
+  }
   // 3.1 + 0.2 = 3.3 -> wraps to 3.3 - 2*pi.
   EXPECT_NEAR(agent.state().bearing_rad, 3.3 - kTwoPi, 1e-9);
 }
@@ -135,7 +139,11 @@ TEST(TurnCommand, TurningTracesAnArc) {
   agent.set_turn_command(turn);
   RngStream rng(4);
   // Full circle takes 60 s; fly half of it.
-  for (int i = 0; i < 300; ++i) agent.step(0.1, DisturbanceConfig::none(), rng);
+  for (int i = 0; i < 300; ++i) {
+    agent.step(0.1, DisturbanceConfig::none(), rng);
+    // The cached bearing trig follows every turn step bit for bit.
+    ASSERT_EQ(agent.velocity_mps(), agent.state().velocity_mps()) << "step " << i;
+  }
   // After 180 degrees the agent flies the opposite direction, displaced by
   // the turn diameter along +y: radius = v / omega ~ 286.5 m.
   const double radius = 30.0 / deg_to_rad(6.0);
