@@ -66,7 +66,7 @@ enum class MsgType : std::uint32_t {
 /// mis-decoding a spec or answering it differently.  The random streams are
 /// part of a spec's meaning: a worker drawing other numbers for the same
 /// seeds would silently mix two generators into one merged result.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 struct Frame {
   MsgType type = MsgType::kShutdown;

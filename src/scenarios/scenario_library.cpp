@@ -235,9 +235,10 @@ DegradedScenario ga_blackout_pincer() {
   // own-NMAC under all three threat policies while the fault-free control
   // resolves under the joint table (asserted in test_degraded_fixtures.cpp).
   // That contrast holds at the pinned seed only: over seeds 1-200 the
-  // fault-free control is a joint-table own-NMAC on 167/200 seeds under both
-  // the old mt19937_64 streams and util/rng.h's (degraded: 181 and 184), so
-  // mostly the geometry, not the degradation, defeats the joint table.
+  // fault-free control is a joint-table own-NMAC on 167/200 seeds under the
+  // old mt19937_64 streams and under util/rng.h's with polar Gaussians, and
+  // on 171/200 with its ziggurat (degraded: 181, 184 and 185), so mostly
+  // the geometry, not the degradation, defeats the joint table.
   d.scenario = degraded_geometry(
       "ga-blackout-pincer",
       {/*gs_own*/ 22.467, /*vs_own*/ -3.521,
@@ -249,7 +250,7 @@ DegradedScenario ga_blackout_pincer() {
   d.fault.comms_blackouts.push_back({/*start_s=*/14.8, /*end_s=*/14.8 + 21.5});
   d.fault.adsb_dropout_burst_prob = 0.25;
   d.fault.adsb_burst_continue_prob = 0.6;  // DegradedConditions::kBurstContinueProb
-  d.seed = 2;
+  d.seed = 28;
   return d;
 }
 
@@ -263,12 +264,13 @@ DegradedScenario ga_burst_stale_overtake() {
   // this one's outcome depends most on the faults, but the geometry alone
   // is already dangerous: over seeds 1-200 the joint table own-NMACs on
   // 157 degraded vs 112 fault-free seeds under the old mt19937_64 streams,
-  // and 145 vs 129 under util/rng.h's.  The seed is the smallest at which
-  // the degraded run is an own-NMAC under all three threat policies while
-  // the fault-free control resolves under the joint table.  The 8 s
-  // staleness horizon is added on top of the found conditions so the
-  // fixture also exercises the coast-limit path — the GA had no horizon
-  // gene.
+  // 145 vs 129 under util/rng.h's with polar Gaussians and 145 vs 120 with
+  // its ziggurat.  The seed was the smallest at which the degraded run is an
+  // own-NMAC under all three threat policies while the fault-free control
+  // resolves under the joint table; it still holds with the ziggurat, where
+  // 3 is the smallest.  The 8 s staleness horizon is added on top of the
+  // found conditions so the fixture also exercises the coast-limit path —
+  // the GA had no horizon gene.
   d.scenario = degraded_geometry(
       "ga-burst-stale-overtake",
       {/*gs_own*/ 16.433, /*vs_own*/ 0.542,

@@ -20,22 +20,50 @@
 //   uniform_int Lemire's multiply-shift with rejection: range = hi - lo + 1;
 //               m = next_u64() * range in 128 bits; redraw while
 //               low64(m) < (2^64 - range) mod range; return lo + high64(m)
-//   gaussian    Marsaglia polar: x = 2 unit - 1, then y = 2 unit - 1, redraw
-//               while r2 = x^2 + y^2 is > 1 or == 0; m = sqrt(-2 log(r2) / r2);
-//               return y m and keep x m as the spare for the next call
+//   gaussian    z * stddev + mean, with z from a 256-layer ziggurat
+//               (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) in a 64-bit
+//               form like numpy's random_standard_normal; the bit layout
+//               below is this file's own
 //   discrete    u = unit * sum(w) (summed left to right); the first k with
 //               w_k > 0 and u < the running sum through k, else the last k
 //               with w_k > 0
 //
-// A stream is 48 bytes: 32 of engine state, the cached Gaussian spare and its
-// flag.  Copying a stream copies the spare too.  Reproducibility rests on
-// IEEE-754 double arithmetic and libm's log (sqrt is correctly rounded), not
-// on the C++ standard library's engines or distribution algorithms.
+// The ziggurat's tables, built once per process at first use, with
+// f(x) = exp(-x^2 / 2), r = 3.6541528853610088, v = 0.00492867323399 and
+// q = v / f(r):
+//
+//   k[0] = (r / q) * 2^52, k[1] = 0       k[i] are uint64, truncated
+//   w[0] = q / 2^52, w[255] = r / 2^52
+//   f[0] = 1, f[255] = f(r)
+//   x_prev = r; for i = 254 ... 1:
+//     x = sqrt(-2 log(v / x_prev + f(x_prev)))
+//     k[i + 1] = (x / x_prev) * 2^52, f[i] = f(x), w[i] = x / 2^52
+//     x_prev = x
+//
+// One standard normal z:
+//
+//   u = next_u64(); i = u & 0xff (layer); sign = bit 8 of u; a = u >> 12
+//   x = a * w[i]
+//   fast path   a < k[i]: return +-x                        (~98.5% of draws)
+//   tail        i == 0: xx = -log(1 - unit()) / r, yy = -log(1 - unit()),
+//               redrawn while 2 yy < xx^2; return +-(r + xx)
+//   wedge       otherwise: return +-x when
+//               f[i] + unit() * (f[i - 1] - f[i]) < exp(-x^2 / 2),
+//               else start again with a new u
+//
+// where +-y is y with `sign` XORed into its sign bit.
+//
+// A stream is 32 bytes of engine state and nothing else, so a copy continues
+// exactly where the original does.  Reproducibility rests on IEEE-754 double
+// arithmetic plus libm's exp and log, used in the table build, the wedge and
+// the tail (sqrt is correctly rounded), not on the C++ standard library's
+// engines or distribution algorithms.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -107,26 +135,8 @@ class RngStream {
     return static_cast<int>(lo + static_cast<std::int64_t>(m >> 64));
   }
 
-  /// Gaussian with the given mean and standard deviation.  Draws come in
-  /// polar pairs; the second of each pair is served by the next call.
-  double gaussian(double mean, double stddev) {
-    if (has_spare_) {
-      has_spare_ = false;
-      return spare_ * stddev + mean;
-    }
-    double x = 0.0;
-    double y = 0.0;
-    double r2 = 0.0;
-    do {
-      x = 2.0 * unit() - 1.0;
-      y = 2.0 * unit() - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(r2) / r2);
-    spare_ = x * m;
-    has_spare_ = true;
-    return (y * m) * stddev + mean;
-  }
+  /// Gaussian with the given mean and standard deviation.
+  double gaussian(double mean, double stddev) { return standard_normal() * stddev + mean; }
 
   /// Bernoulli draw.
   bool chance(double p) { return unit() < p; }
@@ -158,9 +168,75 @@ class RngStream {
   /// Uniform double in [0, 1) from the top 53 bits of one output.
   double unit() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
+  /// The 256-layer ziggurat's tables (see the spec at the top of this file).
+  /// The fast path reads only `layers`, 16 bytes per layer.
+  struct Ziggurat {
+    static constexpr double kR = 3.6541528853610088;
+    static constexpr double kV = 0.00492867323399;
+
+    struct Layer {
+      std::uint64_t k;  ///< a < k: the layer's abscissa a * w lies under the curve
+      double w;         ///< abscissa scale: x = a * w
+    };
+    std::array<Layer, 256> layers{};
+    std::array<double, 256> f{};  ///< exp(-x^2 / 2) at each layer's edge
+
+    Ziggurat() {
+      const auto density = [](double x) { return std::exp(-0.5 * x * x); };
+      const double q = kV / density(kR);
+      layers[0] = {static_cast<std::uint64_t>((kR / q) * 0x1.0p52), q * 0x1.0p-52};
+      layers[1].k = 0;
+      layers[255].w = kR * 0x1.0p-52;
+      f[0] = 1.0;
+      f[255] = density(kR);
+      double x_prev = kR;
+      for (std::size_t i = 254; i >= 1; --i) {
+        const double x = std::sqrt(-2.0 * std::log(kV / x_prev + density(x_prev)));
+        layers[i + 1].k = static_cast<std::uint64_t>((x / x_prev) * 0x1.0p52);
+        f[i] = density(x);
+        layers[i].w = x * 0x1.0p-52;
+        x_prev = x;
+      }
+    }
+  };
+
+  /// Built at first use; a function-local static is thread-safe and immune to
+  /// static-initialization order.
+  static const Ziggurat& ziggurat() {
+    static const Ziggurat tables;
+    return tables;
+  }
+
+  /// One ziggurat draw, as specified at the top of this file.
+  double standard_normal() {
+    const Ziggurat& z = ziggurat();
+    for (;;) {
+      const std::uint64_t u = next_u64();
+      const std::size_t i = u & 0xff;
+      const std::uint64_t sign = (u & 0x100) << 55;  // bit 8 -> the sign bit
+      const std::uint64_t a = u >> 12;
+      const double x = static_cast<double>(a) * z.layers[i].w;
+      if (a < z.layers[i].k) return with_sign(x, sign);
+      if (i == 0) {
+        double xx = 0.0;
+        double yy = 0.0;
+        do {
+          xx = -std::log(1.0 - unit()) / Ziggurat::kR;
+          yy = -std::log(1.0 - unit());
+        } while (2.0 * yy < xx * xx);
+        return with_sign(Ziggurat::kR + xx, sign);
+      }
+      if (z.f[i] + unit() * (z.f[i - 1] - z.f[i]) < std::exp(-0.5 * x * x)) {
+        return with_sign(x, sign);
+      }
+    }
+  }
+
+  static double with_sign(double x, std::uint64_t sign) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ sign);
+  }
+
   std::array<std::uint64_t, 4> s_{};
-  double spare_ = 0.0;
-  bool has_spare_ = false;
 };
 
 }  // namespace cav

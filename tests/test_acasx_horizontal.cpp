@@ -23,12 +23,21 @@ AircraftTrack track(double x, double y, double z, double vx, double vy, double v
   return {{x, y, z}, {vx, vy, vz}};
 }
 
+/// The coarse horizontal table, solved once per process for both suites
+/// below (the solve is deterministic).
+std::shared_ptr<const HorizontalTable> coarse_horizontal_table() {
+  static const std::shared_ptr<const HorizontalTable> table = [] {
+    ThreadPool pool;
+    return std::make_shared<const HorizontalTable>(
+        solve_horizontal_table(HorizontalConfig::coarse(), &pool));
+  }();
+  return table;
+}
+
 class HorizontalTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    ThreadPool pool;
-    table_ = new std::shared_ptr<const HorizontalTable>(std::make_shared<const HorizontalTable>(
-        solve_horizontal_table(HorizontalConfig::coarse(), &pool)));
+    table_ = new std::shared_ptr<const HorizontalTable>(coarse_horizontal_table());
   }
   static void TearDownTestSuite() {
     delete table_;
@@ -191,9 +200,7 @@ class CombinedClosedLoopTest : public ::testing::Test {
     ThreadPool pool;
     vertical_ = new std::shared_ptr<const LogicTable>(std::make_shared<const LogicTable>(
         solve_logic_table(AcasXuConfig::coarse(), &pool)));
-    horizontal_ = new std::shared_ptr<const HorizontalTable>(
-        std::make_shared<const HorizontalTable>(
-            solve_horizontal_table(HorizontalConfig::coarse(), &pool)));
+    horizontal_ = new std::shared_ptr<const HorizontalTable>(coarse_horizontal_table());
   }
   static void TearDownTestSuite() {
     delete vertical_;

@@ -4,9 +4,10 @@
 // the E14 attack campaign; these tests pin the own-NMAC outcome under every
 // threat policy AND the fault-free control, so a change to the fault
 // models, the coordination channel, or the tables that flips a frozen
-// worst case is caught — in either direction.  Each fixture's seed is the
-// smallest at which both properties hold; the contrast is a property of
-// that seed, not of the geometry (per-seed sweeps in scenario_library.cpp).
+// worst case is caught — in either direction.  Each fixture's seed was the
+// smallest at which both properties held when it was pinned; the contrast
+// is a property of that seed, not of the geometry (per-seed sweeps in
+// scenario_library.cpp).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,7 +68,7 @@ TEST_F(DegradedFixtureTest, BlackoutPincerCleanControlResolvesUnderJointTable) {
   // At the pinned seed the degradation defeats the strongest policy: with
   // faults stripped the joint table resolves the pincer.  This holds at
   // that seed only; over seeds 1-200 the fault-free control NMACs under the
-  // joint table on 167 (see ga_blackout_pincer()).
+  // joint table on 171 (see ga_blackout_pincer()).
   const DegradedScenario d = ga_blackout_pincer();
   EXPECT_FALSE(run_nmac(clean_control(d), sim::ThreatPolicy::kJointTable));
 }

@@ -1,8 +1,8 @@
 // The joint-threat table's acceptance gate (slow tier: full coarse joint
 // solve + 120 ring simulations).  Cost fusion closes part of the
-// converging-ring gap (nearest-threat 51 -> cost-fused 31 own-NMACs over
+// converging-ring gap (nearest-threat 48 -> cost-fused 35 own-NMACs over
 // 60 paired seeds); the joint table must strictly beat cost fusion on the
-// same paired seeds (17) without alerting significantly more encounters —
+// same paired seeds (23) without alerting significantly more encounters —
 // the symmetric co-altitude squeeze is exactly the geometry pairwise
 // fusion cannot price.
 #include <gtest/gtest.h>

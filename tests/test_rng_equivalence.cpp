@@ -2,15 +2,17 @@
 // pairwise + joint table solves, then 3 x 1200 converging-ring runs).
 //
 // The library's draws were once std::mt19937_64 with the standard library's
-// distributions; they are now util/rng.h's xoshiro256++ with in-repo
-// distributions.  Per-seed outcomes changed on purpose, but the rates must
-// not: each threat policy's own-NMAC and alerted-encounter counts over the
-// ring's 1200 paired seeds must have a 99.9% Wilson interval that overlaps
-// the one from the old generator, measured with this same loop.
+// distributions, then util/rng.h's xoshiro256++ with in-repo distributions
+// and polar-method Gaussians; its Gaussians are now a ziggurat.  Per-seed
+// outcomes changed on purpose each time, but the rates must not: each
+// threat policy's own-NMAC and alerted-encounter counts over the ring's
+// 1200 paired seeds must have a 99.9% Wilson interval that overlaps the one
+// from each previous generator, measured with this same loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <initializer_list>
 #include <memory>
 
 #include "acasx/joint_solver.h"
@@ -67,19 +69,23 @@ TEST(RngEquivalenceTest, ConvergingRingRatesMatchThePreviousGenerator) {
     ThreatPolicy policy;
     CasFactory factory;
     RingCounts previous;  // mt19937_64 + standard-library distributions
+    RingCounts polar;     // xoshiro256++ + polar-method Gaussians
   };
   const Case cases[] = {
-      {"nearest", ThreatPolicy::kNearest, AcasXuCas::factory(table), {1014, 1174}},
-      {"cost-fused", ThreatPolicy::kCostFused, AcasXuCas::factory(table), {628, 1178}},
+      {"nearest", ThreatPolicy::kNearest, AcasXuCas::factory(table), {1014, 1174}, {1010, 1178}},
+      {"cost-fused", ThreatPolicy::kCostFused, AcasXuCas::factory(table), {628, 1178},
+       {637, 1172}},
       {"joint", ThreatPolicy::kJointTable, AcasXuCas::factory(table, {}, {}, {}, joint),
-       {379, 1154}},
+       {379, 1154}, {377, 1168}},
   };
   for (const Case& c : cases) {
     const RingCounts now = run_ring(ring, c.policy, c.factory, pool);
-    EXPECT_TRUE(intervals_overlap(now.own_nmacs, c.previous.own_nmacs))
-        << c.name << ": own-NMACs " << now.own_nmacs << " vs " << c.previous.own_nmacs;
-    EXPECT_TRUE(intervals_overlap(now.alerted, c.previous.alerted))
-        << c.name << ": alerted " << now.alerted << " vs " << c.previous.alerted;
+    for (const RingCounts& ref : {c.previous, c.polar}) {
+      EXPECT_TRUE(intervals_overlap(now.own_nmacs, ref.own_nmacs))
+          << c.name << ": own-NMACs " << now.own_nmacs << " vs " << ref.own_nmacs;
+      EXPECT_TRUE(intervals_overlap(now.alerted, ref.alerted))
+          << c.name << ": alerted " << now.alerted << " vs " << ref.alerted;
+    }
   }
 }
 

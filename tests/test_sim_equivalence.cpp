@@ -165,15 +165,15 @@ TEST_F(EquivalenceTest, ForcedModeReproducesGoldenHeadOn) {
   intruder.initial_state = state_at(3200, 0, 1000, 40, kPi, 0);
   intruder.cas = std::make_unique<AcasXuCas>(*table_);
   const auto r = run_encounter(config, std::move(own), std::move(intruder), 11);
-  EXPECT_EQ(r.proximity.min_distance_m, 93.35026753295476);
-  EXPECT_EQ(r.proximity.min_horizontal_m, 0.39648683696987064);
+  EXPECT_EQ(r.proximity.min_distance_m, 84.851286298638399);
+  EXPECT_EQ(r.proximity.min_horizontal_m, 1.1284085920838152);
   EXPECT_EQ(r.proximity.min_vertical_m, 0.0);
-  EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.1000000000003);
+  EXPECT_EQ(r.proximity.time_of_min_distance_s, 40.000000000000298);
   EXPECT_FALSE(r.nmac);
   EXPECT_TRUE(r.agents[0].ever_alerted);
   EXPECT_EQ(r.agents[0].first_alert_time_s, 25.000000000000085);
   EXPECT_EQ(r.agents[0].alert_cycles, 3);
-  EXPECT_EQ(r.agents[1].alert_cycles, 3);
+  EXPECT_EQ(r.agents[1].alert_cycles, 2);
   EXPECT_EQ(r.elapsed_s, 89.999999999999162);
 }
 

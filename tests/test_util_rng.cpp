@@ -148,7 +148,7 @@ constexpr std::array<std::uint64_t, 4> first_four_from_1234() {
 }
 
 static_assert(first_four_from_1234() == kXoshiroReference);
-static_assert(sizeof(RngStream) <= 48);
+static_assert(sizeof(RngStream) == 32);
 
 TEST(Rng, EngineMatchesXoshiroReferenceSequence) {
   std::array<std::uint64_t, 4> s{1, 2, 3, 4};
@@ -156,8 +156,8 @@ TEST(Rng, EngineMatchesXoshiroReferenceSequence) {
 }
 
 // Exact pins of two streams.  Every build type and sanitizer configuration
-// must reproduce these (the Gaussian pins also rest on libm's log); a change
-// here changes every per-seed number in the repo.
+// must reproduce these (the Gaussian pins also rest on libm's exp and log);
+// a change here changes every per-seed number in the repo.
 TEST(Rng, StreamPinsSeedZero) {
   RngStream bits(0);
   EXPECT_EQ(bits.next_u64(), 0x84f09bf307c1073aULL);
@@ -165,10 +165,10 @@ TEST(Rng, StreamPinsSeedZero) {
   EXPECT_EQ(bits.next_u64(), 0xadf96905c5df4417ULL);
   EXPECT_EQ(bits.next_u64(), 0xe9d9a8489d042c93ULL);
   RngStream normal(0);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 1.5070097732377745);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.10312663758591085);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.59044524029566392);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.2564499273147296);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), -0.54557055139184318);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), -0.60341998160647214);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.49300372905720846);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), 1.5226118680388137);
 }
 
 TEST(Rng, StreamPinsDerived) {
@@ -178,10 +178,10 @@ TEST(Rng, StreamPinsDerived) {
   EXPECT_EQ(bits.next_u64(), 0xea9213cc8d94d780ULL);
   EXPECT_EQ(bits.next_u64(), 0x18bb2f29d56c36f0ULL);
   RngStream normal = RngStream::derive(7, "adsb", 3);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.76091857172387944);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), -0.89027445014880113);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.35309892260250519);
-  EXPECT_EQ(normal.gaussian(0.0, 1.0), -1.3084715732017851);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.30407284628765541);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), -0.54722874074705252);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), -1.4068212914774958);
+  EXPECT_EQ(normal.gaussian(0.0, 1.0), 0.26140998072352434);
 }
 
 // One-sample Kolmogorov-Smirnov statistic of `x` against the CDF `cdf`.
@@ -269,11 +269,115 @@ TEST(Rng, DiscreteNeverPicksAZeroWeight) {
 }
 
 TEST(Rng, CopyBetweenPolarHalvesKeepsTheSpare) {
+  // Gaussians no longer come in pairs: a copy taken after a draw carries the
+  // whole stream, so both continue identically.
   RngStream a(17);
-  a.gaussian(0.0, 1.0);  // first half of a pair; the second is cached
+  a.gaussian(0.0, 1.0);
   RngStream b = a;
   for (int i = 0; i < 5; ++i) EXPECT_EQ(a.gaussian(2.0, 3.0), b.gaussian(2.0, 3.0));
   EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// ---- The ziggurat's paths (see the spec in rng.h), tested black-box ----
+
+constexpr double kZigguratR = 3.6541528853610088;
+
+/// Standard normal CDF.
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// Draws gaussian(0, 1) from `rng` into `z` and returns the number of engine
+/// steps the draw consumed, read off a copy of the stream stepped ahead.
+/// The fast path takes 1 step and an accepted wedge test 2; a tail draw takes
+/// 1 plus 2 per (xx, yy) attempt; each rejected wedge test adds 2 first.
+int steps_of_gaussian(RngStream& rng, double& z) {
+  RngStream ahead = rng;
+  std::array<std::uint64_t, 64> outputs{};
+  for (std::uint64_t& o : outputs) o = ahead.next_u64();
+  z = rng.gaussian(0.0, 1.0);
+  const std::uint64_t next = RngStream(rng).next_u64();
+  for (std::size_t n = 0; n < outputs.size(); ++n) {
+    if (outputs[n] == next) return static_cast<int>(n);
+  }
+  return -1;
+}
+
+// Pins, for RngStream(0), the first wedge-accepted draw (an even step
+// count), the first tail draw (|z| > r) and the number of one-step
+// fast-path draws up to it: a libm whose exp or log rounds differently
+// fails here instead of drifting silently.
+TEST(Rng, ZigguratWedgeAndTailPins) {
+  RngStream rng(0);
+  int wedge_index = -1;
+  int tail_index = -1;
+  int tail_steps = 0;
+  double wedge_z = 0.0;
+  double tail_z = 0.0;
+  int fast = 0;
+  for (int i = 0; wedge_index < 0 || tail_index < 0; ++i) {
+    ASSERT_LT(i, 1000000);
+    double z = 0.0;
+    const int steps = steps_of_gaussian(rng, z);
+    ASSERT_GE(steps, 1);
+    if (std::abs(z) > kZigguratR) {
+      EXPECT_GE(steps, 3) << "draw " << i;
+      EXPECT_EQ(steps % 2, 1) << "draw " << i;
+      if (tail_index < 0) {
+        tail_index = i;
+        tail_z = z;
+        tail_steps = steps;
+      }
+    } else if (steps % 2 == 0) {
+      if (wedge_index < 0) {
+        wedge_index = i;
+        wedge_z = z;
+      }
+    } else if (steps == 1) {
+      ++fast;
+    }
+  }
+  EXPECT_EQ(wedge_index, 5);
+  EXPECT_EQ(wedge_z, -1.172298722671959);
+  EXPECT_EQ(tail_index, 489);
+  EXPECT_EQ(tail_z, -3.9639647744112039);
+  EXPECT_EQ(tail_steps, 3);
+  EXPECT_EQ(fast, 482);
+}
+
+// 16 M draws of one stream, three checks that each catch a different broken
+// ziggurat: the shape (chi-square of Phi(z) over 100 equiprobable bins), the
+// tail's mass (count of |z| > r within 4 sigma of n erfc(r / sqrt 2)) and
+// the tail's shape (KS of |z| against the normal truncated to |z| > r).
+// The 100k-draw KS test above passes a generator that skips the wedge test.
+TEST(Rng, GaussianShapeAndTailOver16MDraws) {
+  constexpr std::size_t kDraws = std::size_t{1} << 24;
+  constexpr int kBins = 100;
+  RngStream rng(2026);
+  std::array<std::size_t, kBins> bins{};
+  std::vector<double> tail;
+  for (std::size_t n = 0; n < kDraws; ++n) {
+    const double z = rng.gaussian(0.0, 1.0);
+    ASSERT_TRUE(std::isfinite(z)) << "draw " << n;
+    ++bins[static_cast<std::size_t>(std::min(kBins - 1, static_cast<int>(kBins * normal_cdf(z))))];
+    if (std::abs(z) > kZigguratR) tail.push_back(std::abs(z));
+  }
+  const double n = static_cast<double>(kDraws);
+  const double expected = n / kBins;
+  double chi2 = 0.0;
+  for (const std::size_t c : bins) {
+    chi2 += (static_cast<double>(c) - expected) * (static_cast<double>(c) - expected) / expected;
+  }
+  EXPECT_LT(chi2, 148.2);  // df 99, alpha = 0.001
+
+  const double p_tail = std::erfc(kZigguratR / std::sqrt(2.0));
+  const double sigma = std::sqrt(n * p_tail * (1.0 - p_tail));
+  EXPECT_LT(std::abs(static_cast<double>(tail.size()) - n * p_tail), 4.0 * sigma)
+      << tail.size() << " tail draws, expected " << n * p_tail;
+
+  ASSERT_FALSE(tail.empty());
+  const double d = ks_statistic(tail, [p_tail](double v) {
+    return 1.0 - std::erfc(v / std::sqrt(2.0)) / p_tail;
+  });
+  EXPECT_LT(d, ks_critical(tail.size()));
 }
 
 }  // namespace
