@@ -6,16 +6,15 @@
 //
 // The compiled-kernel trajectory: Virtual (seed: transitions re-expanded
 // through virtual dispatch every sweep) -> Compiled (flat CSR arrays) ->
-// CompiledParallel (chunked Jacobi sweeps on the thread pool); and for the
-// ACAS table, Reference (scatter stencils recomputed every tau layer) ->
-// Stencil (precompiled stencils) -> StencilParallel.  All variants emit
+// CompiledSweepsOnly (compilation amortized); and for the ACAS table,
+// Reference (scatter stencils recomputed every tau layer) -> Stencil
+// (precompiled stencils) -> StencilParallel.  All variants emit
 // identical logic, so the deltas are pure solver cost.
 #include <benchmark/benchmark.h>
 
 #include "acasx/offline_solver.h"
 #include "bench_common.h"
 #include "mdp/compiled_mdp.h"
-#include "mdp/sparse_goal_chain.h"
 #include "mdp/value_iteration.h"
 #include "toy2d/toy2d_mdp.h"
 #include "util/thread_pool.h"
@@ -57,72 +56,6 @@ void BM_SolveToy2dCompiledSweepsOnly(benchmark::State& state) {
   state.SetLabel("490-state SIII model, pre-compiled, sweeps only");
 }
 BENCHMARK(BM_SolveToy2dCompiledSweepsOnly)->Unit(benchmark::kMillisecond);
-
-void BM_SolveToy2dPrioritized(benchmark::State& state) {
-  const toy2d::Toy2dMdp model{toy2d::Config{}};
-  const mdp::CompiledMdp compiled(model);
-  std::size_t state_updates = 0;
-  for (auto _ : state) {
-    const auto result = mdp::solve_prioritized(compiled);
-    state_updates = result.state_updates;
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["state_updates"] = static_cast<double>(state_updates);
-  state.SetLabel("490-state SIII model, prioritized sweeping (pre-compiled)");
-}
-BENCHMARK(BM_SolveToy2dPrioritized)->Unit(benchmark::kMillisecond);
-
-void BM_SolveToy2dF32SweepsOnly(benchmark::State& state) {
-  const toy2d::Toy2dMdp model{toy2d::Config{}};
-  const mdp::CompiledMdp compiled(model);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mdp::solve_value_iteration_f32(compiled));
-  }
-  state.SetLabel("490-state SIII model, float32 value layers, sweeps only");
-}
-BENCHMARK(BM_SolveToy2dF32SweepsOnly)->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------ sparse-goal comparison
-//
-// Prioritized sweeping targets models whose cost mass sits in a small
-// region of a large state space (the collision-punishment shape); on such
-// models residual ordering skips the converged bulk that full Jacobi
-// sweeps keep re-visiting.  (On dense-cost models like toy2d, where every
-// state earns the level-off reward, full sweeps win — the BM_SolveToy2d*
-// rows above show that side of the tradeoff.)  Both variants report
-// state_updates; the Jacobi count is iterations x states.
-
-void BM_SolveSparseGoalJacobi(benchmark::State& state) {
-  const mdp::SparseGoalChain model(100000, 16);
-  const mdp::CompiledMdp compiled(model);
-  std::size_t non_terminal = 0;
-  for (std::size_t s = 0; s < compiled.num_states(); ++s) {
-    if (!compiled.is_terminal(static_cast<mdp::State>(s))) ++non_terminal;
-  }
-  std::size_t state_updates = 0;
-  for (auto _ : state) {
-    const auto result = mdp::solve_value_iteration(compiled);
-    state_updates = result.iterations * non_terminal;  // same metric as prioritized
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["state_updates"] = static_cast<double>(state_updates);
-  state.SetLabel("100k-state sparse-goal chain, full Jacobi sweeps");
-}
-BENCHMARK(BM_SolveSparseGoalJacobi)->Unit(benchmark::kMillisecond);
-
-void BM_SolveSparseGoalPrioritized(benchmark::State& state) {
-  const mdp::SparseGoalChain model(100000, 16);
-  const mdp::CompiledMdp compiled(model);
-  std::size_t state_updates = 0;
-  for (auto _ : state) {
-    const auto result = mdp::solve_prioritized(compiled);
-    state_updates = result.state_updates;
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["state_updates"] = static_cast<double>(state_updates);
-  state.SetLabel("100k-state sparse-goal chain, prioritized sweeping");
-}
-BENCHMARK(BM_SolveSparseGoalPrioritized)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ ACAS table
 

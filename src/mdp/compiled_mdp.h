@@ -9,10 +9,7 @@
 //   * a CSR sparse matrix over (s, a) rows — row_offsets / next_state /
 //     prob — holding every transition entry back to back,
 //   * a dense per-(s, a) cost table,
-//   * a terminal mask and terminal-value vector,
-//   * on first use, the transpose of the CSR graph — pred_offsets /
-//     pred_state — listing each state's (deduplicated) predecessor states,
-//     which drives the prioritized-sweeping solver's residual propagation.
+//   * a terminal mask and terminal-value vector.
 //
 // Sweeps then reduce to branch-free streaming over flat arrays, which is
 // both cache-friendly and safely shareable across threads (the compiled
@@ -25,22 +22,15 @@
 // emitted them, so compiled backups accumulate in the same floating-point
 // order as the virtual path and produce bit-identical values.
 //
-// Value layers are templated on the scalar type: the default solvers sweep
-// double layers; solve_value_iteration_f32 sweeps float layers for
-// bandwidth-bound models (matching the float storage the ACAS tau layers
-// already use).  Probabilities, costs, and accumulation stay double in both
-// modes — only the value reads/writes narrow.
-//
 // Model-revision loops that re-tune costs while keeping the transition
 // structure (the paper's Fig. 1 "manual model revision" edge re-weights
 // punishments, not dynamics) call refresh_costs() instead of re-flattening:
-// the CSR arrays, terminal mask, and transpose all stay valid.
+// the CSR arrays and terminal mask stay valid.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "mdp/mdp.h"
@@ -56,7 +46,7 @@ class CompiledMdp {
 
   /// Re-read the costs and terminal costs of `mdp` into the existing
   /// compiled structure — a cost-only model revision.  The transition
-  /// structure (CSR arrays, terminal mask, transpose) is reused untouched,
+  /// structure (CSR arrays, terminal mask) is reused untouched,
   /// so revision loops skip the expensive re-flatten.  Validates that the
   /// state/action counts and the terminal mask match the compiled model;
   /// the caller guarantees the transition DISTRIBUTIONS are unchanged
@@ -81,40 +71,21 @@ class CompiledMdp {
   const std::vector<State>& next_state() const { return next_state_; }
   const std::vector<double>& prob() const { return prob_; }
 
-  /// Reverse graph (CSR transpose at state granularity): the predecessors
-  /// of state s — every state with a transition into s under some action,
-  /// duplicates removed — are pred_state[pred_offsets[s] ..
-  /// pred_offsets[s + 1]).  Built lazily (thread-safely) on first access,
-  /// so solvers that never propagate residuals upstream pay nothing;
-  /// refresh_costs keeps it valid.  Prioritized sweeping walks it to push
-  /// Bellman residual bounds to predecessors.
-  const std::vector<std::size_t>& pred_offsets() const {
-    std::call_once(reverse_once_, [this] { build_reverse_graph(); });
-    return pred_offsets_;
-  }
-  const std::vector<State>& pred_state() const {
-    std::call_once(reverse_once_, [this] { build_reverse_graph(); });
-    return pred_state_;
-  }
-
   /// Expected cost of (s, a): cost + discount * sum_s' p * V(s').  The
-  /// compiled analogue of mdp::backup (no virtual calls, no scratch).
-  /// Value layers may be float or double; accumulation is always double,
-  /// so the double instantiation is bit-identical to the virtual path.
-  template <typename V>
-  double backup(State s, Action a, const std::vector<V>& values, double discount) const {
+  /// compiled analogue of mdp::backup (no virtual calls, no scratch),
+  /// accumulating in the same order, so bit-identical to it.
+  double backup(State s, Action a, const Values& values, double discount) const {
     const std::size_t r = row(s, a);
     double expected = 0.0;
     for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      expected += prob_[k] * static_cast<double>(values[next_state_[k]]);
+      expected += prob_[k] * values[next_state_[k]];
     }
     return cost_[r] + discount * expected;
   }
 
   /// Full Bellman update for one state: writes the Q row, returns the
   /// minimum (ties keep the lowest action, matching greedy_policy).
-  template <typename V>
-  double bellman_update(State s, const std::vector<V>& values, double discount, QTable& q) const {
+  double bellman_update(State s, const Values& values, double discount, QTable& q) const {
     double best = kInfinity;
     for (std::size_t a = 0; a < num_actions_; ++a) {
       const double qa = backup(s, static_cast<Action>(a), values, discount);
@@ -125,8 +96,7 @@ class CompiledMdp {
   }
 
   /// Minimum expected cost over actions without recording Q.
-  template <typename V>
-  double bellman_min(State s, const std::vector<V>& values, double discount) const {
+  double bellman_min(State s, const Values& values, double discount) const {
     double best = kInfinity;
     for (std::size_t a = 0; a < num_actions_; ++a) {
       const double qa = backup(s, static_cast<Action>(a), values, discount);
@@ -141,8 +111,6 @@ class CompiledMdp {
  private:
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  void build_reverse_graph() const;
-
   std::size_t num_states_ = 0;
   std::size_t num_actions_ = 0;
   std::vector<std::size_t> row_offsets_;  ///< num_states * num_actions + 1
@@ -151,11 +119,6 @@ class CompiledMdp {
   std::vector<double> cost_;             ///< dense, row-indexed
   std::vector<std::uint8_t> terminal_;   ///< dense mask
   std::vector<double> terminal_cost_;    ///< dense, 0 for non-terminals
-  // Lazily built transpose (the once_flag makes CompiledMdp non-movable;
-  // share compiled models by reference or shared_ptr instead).
-  mutable std::once_flag reverse_once_;
-  mutable std::vector<std::size_t> pred_offsets_;  ///< num_states + 1
-  mutable std::vector<State> pred_state_;          ///< unique predecessors per state
 };
 
 }  // namespace cav::mdp

@@ -42,12 +42,8 @@ namespace cav::sim {
 /// thread-count) choice — including the default {1, nullptr}, which runs
 /// the very same code inline.
 ///
-/// `pool` is non-owning and may be shared across simulations, but must
-/// NOT be a pool the caller is currently executing on: ThreadPool::
-/// wait_idle blocks until the whole pool drains, so nesting a simulation
-/// inside one of its own pool's tasks deadlocks.  Campaign code that
-/// parallelizes across encounters should keep per-encounter simulations
-/// serial (num_lps = 1), or give them a dedicated pool.
+/// `pool` is non-owning and may be shared across simulations, including
+/// a pool the caller is itself running a task on.
 struct LpConfig {
   int num_lps = 1;           ///< logical processes (>= 1); 1 = serial
   ThreadPool* pool = nullptr;  ///< workers for the LP event loops; null = inline

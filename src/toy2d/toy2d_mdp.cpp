@@ -182,7 +182,6 @@ std::string PolicyTable::render_slice(int y_int) const {
 PolicyTable solve(const Toy2dMdp& model, ThreadPool* pool) {
   mdp::ValueIterationConfig config;
   config.discount = 1.0;  // episodic: x_r strictly decreases to the terminal layer
-  config.gauss_seidel = false;
   config.pool = pool;
   auto result = mdp::solve_value_iteration(model, config);
   ensure(result.converged, "toy2d value iteration converged");

@@ -1,8 +1,40 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace cav {
+namespace {
+
+/// The state one parallel_for_ranges call shares with its helper tasks.
+/// It outlives the call: a helper the pool starts after the call returned
+/// claims no chunk and touches nothing else, not even `fn`.
+struct RangeCall {
+  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+  std::size_t n = 0;
+  std::size_t chunk = 0;
+  std::size_t chunks = 0;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed chunk
+  std::mutex mutex;
+  std::size_t done = 0;  ///< chunks finished, guarded by `mutex`
+  std::condition_variable finished;
+
+  /// Claim and run chunks until none is left.  noexcept: an exception
+  /// escaping fn terminates on the calling thread too, as on a worker.
+  void run() noexcept {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1);
+      if (c >= chunks) return;
+      const std::size_t begin = c * chunk;
+      (*fn)(begin, std::min(n, begin + chunk));
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (++done == chunks) finished.notify_all();
+    }
+  }
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -49,19 +81,21 @@ void ThreadPool::parallel_for_ranges(std::size_t n,
   if (n == 0) return;
   // Chunk the index space so that small items do not drown in queue
   // overhead; an atomic cursor keeps the chunks balanced.
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t workers = thread_count();
-  const std::size_t chunk = std::max<std::size_t>(1, n / (workers * 8));
-  for (std::size_t w = 0; w < workers; ++w) {
-    submit([cursor, n, chunk, &fn] {
-      for (;;) {
-        const std::size_t begin = cursor->fetch_add(chunk);
-        if (begin >= n) return;
-        fn(begin, std::min(n, begin + chunk));
-      }
-    });
+  auto call = std::make_shared<RangeCall>();
+  call->fn = &fn;
+  call->n = n;
+  call->chunk = std::max<std::size_t>(1, n / (thread_count() * 8));
+  call->chunks = (n + call->chunk - 1) / call->chunk;
+  // The caller claims chunks alongside the helpers, so at most
+  // thread_count() threads run this call, and it finishes even when every
+  // worker is busy (a nested call, or other callers).
+  const std::size_t helpers = std::min(thread_count(), call->chunks) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    submit([call] { call->run(); });
   }
-  wait_idle();
+  call->run();
+  std::unique_lock<std::mutex> lock(call->mutex);
+  call->finished.wait(lock, [&call] { return call->done == call->chunks; });
 }
 
 void ThreadPool::worker_loop() {

@@ -35,6 +35,10 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// fn is invoked concurrently; it must synchronize its own shared state.
+  /// The calling thread runs chunks too and waits only for this call's
+  /// chunks, so calls may nest (a pool task may call parallel_for on its
+  /// own pool) and several threads may call at once.  Like a task, fn
+  /// must not throw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Range-based variant: fn(begin, end) is called once per contiguous

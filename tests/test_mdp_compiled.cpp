@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "mdp/policy_iteration.h"
 #include "mdp/value_iteration.h"
@@ -18,6 +19,9 @@ namespace cav::mdp {
 namespace {
 
 toy2d::Toy2dMdp toy_model() { return toy2d::Toy2dMdp{toy2d::Config{}}; }
+
+// Owners such as core::Toy2dRevisionLoop hold a compiled model by value.
+static_assert(std::is_move_constructible_v<CompiledMdp>);
 
 TEST(CompiledMdp, MirrorsModelShapeAndTerminals) {
   const auto model = toy_model();
@@ -128,21 +132,6 @@ TEST(CompiledValueIteration, MatchesVirtualPathExactly) {
   ASSERT_EQ(compiled.q.q.size(), reference.q.q.size());
   for (std::size_t i = 0; i < reference.q.q.size(); ++i) {
     EXPECT_EQ(compiled.q.q[i], reference.q.q[i]) << "q entry " << i;
-  }
-  EXPECT_EQ(compiled.policy, reference.policy);
-}
-
-TEST(CompiledValueIteration, GaussSeidelMatchesVirtualGaussSeidel) {
-  const auto model = toy_model();
-  ValueIterationConfig config;
-  config.gauss_seidel = true;
-  config.use_compiled = false;
-  const auto reference = solve_value_iteration(model, config);
-  config.use_compiled = true;
-  const auto compiled = solve_value_iteration(model, config);
-  ASSERT_EQ(compiled.values.size(), reference.values.size());
-  for (std::size_t s = 0; s < reference.values.size(); ++s) {
-    EXPECT_EQ(compiled.values[s], reference.values[s]) << "state " << s;
   }
   EXPECT_EQ(compiled.policy, reference.policy);
 }

@@ -1,7 +1,7 @@
 // Solver tests on hand-solvable MDPs: a deterministic chain, a two-action
 // risk/reward choice, and a stochastic coin-flip walk.  Cross-checks value
-// iteration (Jacobi + Gauss-Seidel), finite-horizon backward induction, and
-// policy iteration against each other and against closed forms.
+// iteration, finite-horizon backward induction, and policy iteration
+// against each other and against closed forms.
 #include "mdp/mdp.h"
 
 #include <gtest/gtest.h>
@@ -113,18 +113,6 @@ TEST(ValueIteration, DiscountedLoopClosedForm) {
   const auto result = solve_value_iteration(mdp, config);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.values[0], 1.0 / (1.0 - g * p), 1e-6);
-}
-
-TEST(ValueIteration, GaussSeidelMatchesJacobi) {
-  const ChainMdp chain(6);
-  ValueIterationConfig gs;
-  gs.gauss_seidel = true;
-  const auto jacobi = solve_value_iteration(chain);
-  const auto seidel = solve_value_iteration(chain, gs);
-  ASSERT_EQ(jacobi.values.size(), seidel.values.size());
-  for (std::size_t s = 0; s < jacobi.values.size(); ++s) {
-    EXPECT_NEAR(jacobi.values[s], seidel.values[s], 1e-9);
-  }
 }
 
 TEST(ValueIteration, UndiscountedLoopHitsIterationCap) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace cav {
@@ -107,6 +109,57 @@ TEST(ThreadPool, ParallelForRangesSupportsPerRangePartials) {
     total.fetch_add(local, std::memory_order_relaxed);
   });
   EXPECT_EQ(total.load(), static_cast<long long>(n) * (n - 1) / 2);
+}
+
+TEST(ThreadPool, NestedParallelForOnEveryWorkerCompletes) {
+  // Every worker is inside a task when it calls parallel_for on its own
+  // pool, so no worker is free to help: each nested call must finish on
+  // its calling thread, and the helpers it queued run after it returned.
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kInner = 1000;
+  ThreadPool pool(kWorkers);
+  std::latch all_inside(kWorkers);
+  std::vector<std::atomic<int>> hits(kWorkers * kInner);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    pool.submit([&, w] {
+      all_inside.arrive_and_wait();
+      pool.parallel_for(kInner, [&, w](std::size_t i) { hits[w * kInner + i].fetch_add(1); });
+    });
+  }
+  pool.wait_idle();
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersWaitOnlyForTheirOwnChunks) {
+  // Caller A's chunks cannot finish until caller B's parallel_for has
+  // returned, so B must not wait for A's work.  Both callers then run
+  // rounds side by side on the one pool.
+  ThreadPool pool(4);
+  std::atomic<bool> b_returned{false};
+  std::atomic<long> a_sum{0};
+  std::atomic<long> b_sum{0};
+  std::thread a([&] {
+    pool.parallel_for(8, [&](std::size_t i) {
+      while (!b_returned.load()) std::this_thread::yield();
+      a_sum.fetch_add(static_cast<long>(i));
+    });
+    for (int round = 0; round < 20; ++round) {
+      pool.parallel_for(100, [&](std::size_t i) { a_sum.fetch_add(static_cast<long>(i)); });
+    }
+  });
+  std::thread b([&] {
+    pool.parallel_for(100, [&](std::size_t i) { b_sum.fetch_add(static_cast<long>(i)); });
+    b_returned.store(true);
+    for (int round = 0; round < 20; ++round) {
+      pool.parallel_for(100, [&](std::size_t i) { b_sum.fetch_add(static_cast<long>(i)); });
+    }
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(a_sum.load(), 28L + 20L * 4950L);
+  EXPECT_EQ(b_sum.load(), 21L * 4950L);
 }
 
 TEST(ThreadPool, DestructionWithPendingWorkCompletes) {
