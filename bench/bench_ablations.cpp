@@ -6,14 +6,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "acasx/belief_logic.h"
 #include "bench_common.h"
 #include "core/fitness.h"
 #include "core/logbook.h"
 #include "core/scenario_search.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "util/csv.h"
 
 namespace {
@@ -174,9 +172,7 @@ int main(int argc, char** argv) {
             evaluate_with(config, standard, encounter::tail_approach()));
       }
       for (const double h_sigma : {80.0, 164.0}) {
-        acasx::BeliefConfig belief;
-        belief.h_sigma_ft = h_sigma;
-        const auto factory = sim::BeliefAcasXuCas::factory(standard, belief);
+        const auto factory = sim::AcasXuCas::factory(standard, {.belief = {h_sigma, 1.6}});
         const core::EncounterEvaluator evaluator(config, factory, factory);
         char label[64];
         std::snprintf(label, sizeof label, "belief %3.0fft (vpos %.0fm)", h_sigma, vpos_sigma);

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
               joint->num_entries());
 
   const sim::CasFactory equipped = sim::AcasXuCas::factory(table);
-  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {}, {}, {}, joint);
+  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {.joint = joint});
   const sim::CasFactory tcas = baselines::TcasLikeCas::factory();
   const sim::CasFactory svo = baselines::SvoCas::factory();
   const auto factory_for = [&](ThreatPolicy policy) -> const sim::CasFactory& {

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
               joint->num_entries());
 
   const sim::CasFactory equipped = sim::AcasXuCas::factory(table);
-  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {}, {}, {}, joint);
+  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {.joint = joint});
   const auto factory_for = [&](sim::ThreatPolicy policy) -> const sim::CasFactory& {
     return policy == sim::ThreatPolicy::kJointTable ? joint_equipped : equipped;
   };

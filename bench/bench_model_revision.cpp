@@ -26,7 +26,6 @@
 #include "mdp/compiled_mdp.h"
 #include "mdp/value_iteration.h"
 #include "sim/acasx_cas.h"
-#include "sim/combined_cas.h"
 #include "toy2d/toy2d_mdp.h"
 #include "util/csv.h"
 #include "util/expect.h"
@@ -185,7 +184,7 @@ int main(int argc, char** argv) {
               hstats.states, hstats.wall_seconds, hstats.iterations);
 
   const auto vertical_only = sim::AcasXuCas::factory(vertical);
-  const auto combined = sim::CombinedCas::factory(vertical, horizontal);
+  const auto combined = sim::AcasXuCas::factory(vertical, {.horizontal = horizontal});
 
   core::FitnessConfig config;
   config.runs_per_encounter = bench::smoke() ? 5 : 100;

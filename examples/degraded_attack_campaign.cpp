@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       acasx::solve_logic_table(acasx::AcasXuConfig::coarse(), &pool));
   const auto joint = std::make_shared<const acasx::JointLogicTable>(
       acasx::solve_joint_table(acasx::JointConfig::coarse(), &pool));
-  const sim::CasFactory acas = sim::AcasXuCas::factory(table, {}, {}, {}, joint);
+  const sim::CasFactory acas = sim::AcasXuCas::factory(table, {.joint = joint});
 
   core::MultiScenarioSearchConfig config;
   config.ga.population_size = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 40;

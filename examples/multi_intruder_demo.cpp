@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::printf("\nsolving coarse joint-threat table...\n");
   const auto joint = std::make_shared<const acasx::JointLogicTable>(
       acasx::solve_joint_table(acasx::JointConfig::coarse()));
-  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {}, {}, {}, joint);
+  const sim::CasFactory joint_equipped = sim::AcasXuCas::factory(table, {.joint = joint});
 
   std::printf("\nthreat policy on the ring (all equipped, 20 paired seeds):\n");
   for (const sim::ThreatPolicy policy :

@@ -248,8 +248,8 @@ class JointLogicTable {
 };
 
 /// Online joint query from surveillance tracks — the joint analogue of
-/// AcasXuLogic::peek_costs, shared by every table-backed CAS adapter
-/// (sim/acasx_cas.h and friends).  Estimates each threat's horizontal tau
+/// AcasXuLogic::peek_costs, answered at the point estimate for the
+/// table-backed CAS (sim/acasx_cas.h).  Estimates each threat's horizontal tau
 /// under `online`, orders the pair deterministically by (tau, then
 /// relative state) so the result is invariant under swapping `a` and `b`,
 /// and queries the table with the primary at full fidelity.  `*active` is

@@ -1,6 +1,8 @@
 // The online ACAS XU-style controller: estimates the relative encounter
 // state and tau from surveillance tracks, interpolates the offline logic
-// table, and selects the cost-minimizing advisory subject to coordination.
+// table (at the point estimate, or averaged over a measurement belief —
+// see BeliefConfig), and selects the cost-minimizing advisory subject to
+// coordination.
 //
 // This is the piece whose weaknesses the paper's GA search exposes: tau is
 // estimated from horizontal range and closure rate, so a slow tail
@@ -45,10 +47,39 @@ struct OnlineConfig {
   double tau_alert_max_s = 40.0;
 };
 
+/// Measurement-uncertainty belief for the online table query — the
+/// paper's §IV "Model structure" question made concrete: "Is the chosen
+/// modelling technique (i.e. MDP model) impressive enough ... Or should
+/// another model (e.g. a POMDP) be used?"
+///
+/// The point estimate treats the noisy surveillance snapshot as the true
+/// state.  A nonzero sigma is the standard QMDP-style partial answer:
+/// represent the measurement uncertainty as an independent Gaussian belief
+/// over the noisiest state dimensions (relative altitude and intruder
+/// vertical rate), and select the advisory minimizing the EXPECTED cost
+/// under that belief,
+///
+///     a* = argmin_a  E_{x ~ belief} [ Q(x, a) ]
+///
+/// approximated by 3-point sigma quadrature per dimension (exact for the
+/// mean and variance of the belief).  With degraded surveillance it stops
+/// committing to a sense the noise cannot support (E9(g) quantifies this);
+/// oversized, it washes out the alert gradient.
+///
+/// This is deliberately not a full POMDP solve (the offline model is
+/// unchanged); it is the cheapest structurally-different online model the
+/// validation framework can compare against — which is the paper's point.
+/// The values are configuration (known sensor characteristics), not online
+/// estimates; the default {0, 0} is the point estimate.
+struct BeliefConfig {
+  double h_sigma_ft = 0.0;        ///< relative-altitude uncertainty
+  double dh_int_sigma_fps = 0.0;  ///< intruder vertical-rate uncertainty
+};
+
 /// Pick the cost-minimizing advisory subject to a coordination constraint,
 /// breaking ties in a stable preference order (keep the current advisory,
 /// then COC, then weaker before stronger) so equal-cost regions do not
-/// chatter.  Shared by the point-estimate and belief-aware logics.
+/// chatter.
 Advisory select_advisory(std::array<double, kNumAdvisories> costs, Sense forbidden_sense,
                          Advisory current);
 
@@ -56,7 +87,9 @@ class AcasXuLogic {
  public:
   /// The table is shared because every UAV agent in a simulation (and every
   /// parallel simulation in a fitness evaluation) reads the same table.
-  explicit AcasXuLogic(std::shared_ptr<const LogicTable> table, OnlineConfig config = {});
+  /// `belief` at its default {0, 0} queries the table at the point estimate.
+  explicit AcasXuLogic(std::shared_ptr<const LogicTable> table, OnlineConfig config = {},
+                       BeliefConfig belief = {});
 
   /// Select the advisory for this surveillance cycle.  `forbidden_sense` is
   /// the coordination constraint received from the intruder ("do not choose
@@ -67,14 +100,15 @@ class AcasXuLogic {
   /// Advisory currently displayed (kCoc before the first decide()).
   Advisory current_advisory() const { return ra_; }
 
-  /// Per-advisory costs against one threat at the *current* advisory
-  /// memory, without advancing it — the building block of multi-threat
-  /// cost fusion (sim/multi_threat.h), where several per-threat cost
-  /// vectors are summed before one advisory is committed.  `active` is
-  /// false when the threat is outside the alerting envelope (not
-  /// converging, or tau beyond the table horizon); the costs are then all
-  /// zero and carry no preference.  The span overload writes into caller
-  /// storage (the allocation-free serving path); the array form wraps it.
+  /// Per-advisory costs (belief-averaged when a sigma is nonzero) against
+  /// one threat at the *current* advisory memory, without advancing it —
+  /// the building block of multi-threat cost fusion (sim/multi_threat.h),
+  /// where several per-threat cost vectors are summed before one advisory
+  /// is committed.  `active` is false when the threat is outside the
+  /// alerting envelope (not converging, or tau beyond the table horizon);
+  /// the costs are then all zero and carry no preference.  The span
+  /// overload writes into caller storage (the allocation-free serving
+  /// path); the array form wraps it.
   void peek_costs(const AircraftTrack& own, const AircraftTrack& intruder, bool* active,
                   std::span<double, kNumAdvisories> out) const;
   std::array<double, kNumAdvisories> peek_costs(const AircraftTrack& own,
@@ -93,7 +127,8 @@ class AcasXuLogic {
   /// Forget advisory memory (new encounter).
   void reset() { ra_ = Advisory::kCoc; }
 
-  /// Diagnostics from the last decide() call.
+  /// Diagnostics from the last decide() call (belief-averaged costs when a
+  /// sigma is nonzero).
   const TauEstimate& last_tau() const { return last_tau_; }
   const std::array<double, kNumAdvisories>& last_costs() const { return last_costs_; }
 
@@ -105,8 +140,39 @@ class AcasXuLogic {
   const OnlineConfig& config() const { return config_; }
 
  private:
+  /// One node of the belief quadrature: offsets added to the measured
+  /// relative altitude and intruder vertical rate, and its weight.
+  struct SigmaPoint {
+    double h_offset_ft;
+    double dh_int_offset_fps;
+    double weight;
+  };
+  /// The belief quadrature, precomputed at construction: 3 x 3 points, 3
+  /// when one sigma is 0, and the point estimate (one node of weight 1)
+  /// when both are.
+  struct SigmaPoints {
+    std::array<SigmaPoint, 9> points{};
+    std::size_t size = 0;
+  };
+  /// Frees a logic's own quadrature, never the shared point estimate.
+  struct SigmaPointsDeleter {
+    void operator()(const SigmaPoints* points) const;
+  };
+  /// The one point-estimate quadrature that every zero-sigma logic shares.
+  static const SigmaPoints* point_estimate();
+
+  /// The tau gate and the sigma-point table query behind both peek_costs
+  /// and decide: writes `*tau`, and returns false (costs all zero) when
+  /// the threat is outside the alerting envelope.
+  bool gated_costs(const AircraftTrack& own, const AircraftTrack& intruder, TauEstimate* tau,
+                   std::span<double, kNumAdvisories> out) const;
+
   std::shared_ptr<const LogicTable> table_;
   OnlineConfig config_;
+  /// Points at point_estimate() when both sigmas are 0, so a point-estimate
+  /// logic (every agent of a campaign or a city fleet) allocates nothing
+  /// and stays small.
+  std::unique_ptr<const SigmaPoints, SigmaPointsDeleter> sigma_points_;
   Advisory ra_ = Advisory::kCoc;
   TauEstimate last_tau_{};
   std::array<double, kNumAdvisories> last_costs_{};

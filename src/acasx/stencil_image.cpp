@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "acasx/advisory.h"
@@ -16,6 +17,16 @@ namespace {
 using serving::TableImage;
 using serving::TableImageWriter;
 using serving::TableIoError;
+
+/// Slab-name prefix of secondary-sense class k ("s0.", "s1.", ...).  Built
+/// by appending: GCC 12 at -O3 raises a false -Wrestrict on the equivalent
+/// `"s" + std::to_string(k) + "."`.
+std::string sense_prefix(std::size_t k) {
+  std::string prefix = "s";
+  prefix += std::to_string(k);
+  prefix += '.';
+  return prefix;
+}
 
 void add_stencil_slabs(TableImageWriter& writer, std::string_view prefix,
                        const StencilSet& stencils) {
@@ -100,8 +111,7 @@ void save_joint_stencil_image(const std::string& path, const JointConfig& config
   TableImageWriter writer(path, kKindJointStencils);
   JointLogicTable::encode_config(config, writer);
   for (std::size_t k = 0; k < per_sense.size(); ++k) {
-    const std::string prefix = "s" + std::to_string(k) + ".";
-    add_stencil_slabs(writer, prefix, per_sense[k]);
+    add_stencil_slabs(writer, sense_prefix(k), per_sense[k]);
   }
   writer.finish();
 }
@@ -117,8 +127,7 @@ std::array<StencilSet, kNumSecondarySenses> open_joint_stencil_image(const std::
   const std::size_t num_points = config_out->grid().size();
   std::array<StencilSet, kNumSecondarySenses> sets;
   for (std::size_t k = 0; k < kNumSecondarySenses; ++k) {
-    const std::string prefix = "s" + std::to_string(k) + ".";
-    sets[k] = view_stencil_slabs(image, prefix, num_points);
+    sets[k] = view_stencil_slabs(image, sense_prefix(k), num_points);
   }
   return sets;
 }

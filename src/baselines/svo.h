@@ -39,7 +39,6 @@ class SvoCas final : public sim::CollisionAvoidanceSystem {
   sim::CasDecision decide(const acasx::AircraftTrack& own, const acasx::AircraftTrack& intruder,
                           acasx::Sense forbidden_sense) override;
   void reset() override;
-  std::string name() const override { return "SVO"; }
 
   static sim::CasFactory factory(const SvoConfig& config = {}, sim::UavPerformance perf = {});
 

@@ -38,7 +38,6 @@ class TcasLikeCas final : public sim::CollisionAvoidanceSystem {
   sim::CasDecision decide(const acasx::AircraftTrack& own, const acasx::AircraftTrack& intruder,
                           acasx::Sense forbidden_sense) override;
   void reset() override;
-  std::string name() const override { return "TCAS-like"; }
 
   static sim::CasFactory factory(const TcasConfig& config = {}, sim::UavPerformance perf = {});
 

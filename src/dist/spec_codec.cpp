@@ -193,7 +193,7 @@ sim::CasFactory materialize_cas(const CasSpec& spec) {
         joint = std::make_shared<const acasx::JointLogicTable>(
             acasx::JointLogicTable::open_mapped(spec.joint_image));
       }
-      return sim::AcasXuCas::factory(std::move(table), {}, {}, {}, std::move(joint));
+      return sim::AcasXuCas::factory(std::move(table), {.joint = std::move(joint)});
     }
   }
   throw ProtocolError("bad CAS kind");

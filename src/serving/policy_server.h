@@ -106,9 +106,10 @@ class PolicyServer {
   const acasx::AcasXuConfig& pairwise_config() const { return pair_config_; }
   const acasx::JointConfig& joint_config() const { return joint_config_; }
 
-  /// The backing tables, for wiring CAS adapters onto the server's shared
-  /// storage (sim/served_cas.h).  Null when serving a quantized image
-  /// (no float table exists in that mode).
+  /// The backing tables, for wiring the table-backed CAS onto the server's
+  /// shared storage (`sim::AcasXuCas::factory(pairwise_table(), {.joint =
+  /// joint_table()})`).  Null when serving a quantized image (no float
+  /// table exists in that mode); the factory rejects a null table.
   const std::shared_ptr<const acasx::LogicTable>& pairwise_table() const { return pair_table_; }
   const std::shared_ptr<const acasx::JointLogicTable>& joint_table() const {
     return joint_table_;

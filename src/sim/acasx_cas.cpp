@@ -1,25 +1,41 @@
 #include "sim/acasx_cas.h"
 
+#include "util/expect.h"
 #include "util/units.h"
 
 namespace cav::sim {
 
-AcasXuCas::AcasXuCas(std::shared_ptr<const acasx::LogicTable> table, acasx::OnlineConfig online,
-                     UavPerformance perf, TrackerConfig tracker,
-                     std::shared_ptr<const acasx::JointLogicTable> joint)
-    : logic_(std::move(table), online), joint_(std::move(joint)), perf_(perf),
-      smoother_(tracker) {}
+AcasXuCas::AcasXuCas(std::shared_ptr<const acasx::LogicTable> table, AcasXuCasConfig config)
+    : logic_(std::move(table), config.online, config.belief), joint_(std::move(config.joint)),
+      perf_(config.perf), smoother_(config.tracker) {
+  if (config.horizontal != nullptr) {
+    horizontal_ = std::make_unique<acasx::HorizontalLogic>(std::move(config.horizontal));
+  }
+}
 
-CasDecision AcasXuCas::to_decision(acasx::Advisory advisory) const {
+void AcasXuCas::reset() {
+  logic_.reset();
+  if (horizontal_) horizontal_->reset();
+  smoother_.reset();
+  threat_smoothers_.clear();
+}
+
+CasDecision AcasXuCas::to_decision(acasx::Advisory advisory, acasx::TurnAdvisory turn) const {
   CasDecision decision;
   decision.label = acasx::advisory_name(advisory);
   decision.sense = acasx::sense_of(advisory);
-  if (advisory == acasx::Advisory::kCoc) return decision;
-
-  decision.maneuver = true;
-  decision.target_vs_mps = units::fpm_to_mps(acasx::target_rate_fpm(advisory));
-  decision.accel_mps2 = acasx::is_strengthened(advisory) ? perf_.accel_strength_mps2
-                                                         : perf_.accel_initial_mps2;
+  if (advisory != acasx::Advisory::kCoc) {
+    decision.maneuver = true;
+    decision.target_vs_mps = units::fpm_to_mps(acasx::target_rate_fpm(advisory));
+    decision.accel_mps2 = acasx::is_strengthened(advisory) ? perf_.accel_strength_mps2
+                                                           : perf_.accel_initial_mps2;
+  }
+  if (turn != acasx::TurnAdvisory::kStraight) {
+    decision.turn = true;
+    decision.turn_rate_rad_s =
+        acasx::turn_rate_of(turn, horizontal_->table().config().turn_rate_rad_s);
+    decision.label += turn == acasx::TurnAdvisory::kTurnLeft ? "+L" : "+R";
+  }
   return decision;
 }
 
@@ -27,7 +43,10 @@ CasDecision AcasXuCas::decide(const acasx::AircraftTrack& own,
                               const acasx::AircraftTrack& intruder,
                               acasx::Sense forbidden_sense) {
   const acasx::AircraftTrack smoothed = smoother_.update(intruder);
-  return to_decision(logic_.decide(own, smoothed, forbidden_sense));
+  const acasx::Advisory advisory = logic_.decide(own, smoothed, forbidden_sense);
+  const acasx::TurnAdvisory turn =
+      horizontal_ ? horizontal_->decide(own, smoothed) : acasx::TurnAdvisory::kStraight;
+  return to_decision(advisory, turn);
 }
 
 bool AcasXuCas::evaluate_costs(const acasx::AircraftTrack& own, const ThreatObservation& threat,
@@ -53,19 +72,25 @@ bool AcasXuCas::evaluate_joint_costs(const acasx::AircraftTrack& own,
   return true;
 }
 
-CasDecision AcasXuCas::commit_fused(const acasx::AircraftTrack&, const ThreatObservation&,
-                                    acasx::Advisory fused) {
+CasDecision AcasXuCas::commit_fused(const acasx::AircraftTrack& own,
+                                    const ThreatObservation& primary, acasx::Advisory fused) {
   logic_.set_advisory(fused);
-  return to_decision(fused);
+  // The horizontal channel is a position-state pairwise logic: steer it
+  // against the most severe threat, reusing the track evaluate_costs
+  // already smoothed this cycle.
+  const acasx::TurnAdvisory turn =
+      horizontal_ ? horizontal_->decide(own, threat_smoothers_.current_or(primary.aircraft_id,
+                                                                          primary.track))
+                  : acasx::TurnAdvisory::kStraight;
+  return to_decision(fused, turn);
 }
 
 CasFactory AcasXuCas::factory(std::shared_ptr<const acasx::LogicTable> table,
-                              acasx::OnlineConfig online, UavPerformance perf,
-                              TrackerConfig tracker,
-                              std::shared_ptr<const acasx::JointLogicTable> joint) {
-  return [table = std::move(table), joint = std::move(joint), online, perf,
-          tracker]() -> std::unique_ptr<CollisionAvoidanceSystem> {
-    return std::make_unique<AcasXuCas>(table, online, perf, tracker, joint);
+                              AcasXuCasConfig config) {
+  expect(table != nullptr, "logic table provided");
+  return [table = std::move(table),
+          config = std::move(config)]() -> std::unique_ptr<CollisionAvoidanceSystem> {
+    return std::make_unique<AcasXuCas>(table, config);
   };
 }
 

@@ -68,9 +68,6 @@ class CollisionAvoidanceSystem {
   /// Clear internal state for a new encounter.
   virtual void reset() = 0;
 
-  /// Identifier used in reports ("ACAS-XU", "TCAS-like", "SVO", "none").
-  virtual std::string name() const = 0;
-
   // --- Optional multi-threat cost interface ---
   //     (ThreatPolicy::kCostFused and ThreatPolicy::kJointTable)
   //
@@ -142,7 +139,6 @@ class UnequippedCas final : public CollisionAvoidanceSystem {
     return {};
   }
   void reset() override {}
-  std::string name() const override { return "none"; }
 };
 
 }  // namespace cav::sim

@@ -147,7 +147,6 @@ class ScriptedManeuverCas final : public CollisionAvoidanceSystem {
   CasDecision decide(const acasx::AircraftTrack& own, const acasx::AircraftTrack& intruder,
                      acasx::Sense forbidden_sense) override;
   void reset() override { cycles_ = 0; }
-  std::string name() const override { return "scripted-maneuver"; }
 
   static CasFactory factory(const ScriptedManeuverConfig& config = {});
 

@@ -57,7 +57,7 @@ class TrackSmoother {
 /// Per-threat smoother bank for the multi-threat cost protocol
 /// (sim/cas.h): one TrackSmoother per threat aircraft, created with the
 /// shared config on first sight, so multiple targets never mix filter
-/// state.  Shared by every cost-capable avoidance system.
+/// state.  Held by the table-backed AcasXuCas (sim/acasx_cas.h).
 class ThreatSmootherBank {
  public:
   /// Fold one measurement into `aircraft_id`'s smoother (creating it from

@@ -1,20 +1,19 @@
-// Belief-aware (QMDP-style) logic tests: degenerate equivalence with the
-// point-estimate logic, convexity of the averaged costs, uncertainty-
+// Belief-averaged (QMDP-style) online logic tests: zero sigmas are the
+// point estimate bit for bit, convexity of the averaged costs, uncertainty-
 // driven behaviour differences, and closed-loop value under degraded
 // surveillance.
-#include "acasx/belief_logic.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
 #include "acasx/offline_solver.h"
+#include "acasx/online_logic.h"
 #include "core/fitness.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "util/expect.h"
+#include "util/units.h"
 
 namespace cav::acasx {
 namespace {
@@ -22,6 +21,9 @@ namespace {
 AircraftTrack track(double x, double y, double z, double vx, double vy, double vz) {
   return {{x, y, z}, {vx, vy, vz}};
 }
+
+/// The default ADS-B vertical noise (7.5 m, 0.5 m/s) in feet.
+constexpr BeliefConfig kSensorBelief{25.0, 1.6};
 
 class BeliefTest : public ::testing::Test {
  protected:
@@ -39,32 +41,40 @@ class BeliefTest : public ::testing::Test {
 std::shared_ptr<const LogicTable>* BeliefTest::table_ = nullptr;
 
 TEST_F(BeliefTest, ZeroSigmaReducesToPointEstimateLogic) {
-  BeliefConfig degenerate;
-  degenerate.h_sigma_ft = 0.0;
-  degenerate.dh_int_sigma_fps = 0.0;
-  BeliefAwareLogic belief(*table_, degenerate);
-  AcasXuLogic point(*table_);
-
-  // Sweep a family of geometries and demand identical advisories and costs.
+  // Both sigmas at 0 leave one sigma point of weight 1: every alerting
+  // decision carries the table's own costs at the measured state.
+  AcasXuLogic logic(*table_, {}, BeliefConfig{0.0, 0.0});
+  const double tau_alert_max_s = logic.config().tau_alert_max_s;
+  int alerting = 0;
   for (double x = 2500.0; x > 200.0; x -= 150.0) {
     for (double dz : {-80.0, -20.0, 0.0, 20.0, 80.0}) {
       const auto own = track(0, 0, 1000, 40, 0, 0);
       const auto intr = track(x, 0, 1000 + dz, -40, 0, dz > 0 ? -2.0 : 2.0);
-      const Advisory a = point.decide(own, intr);
-      const Advisory b = belief.decide(own, intr);
-      ASSERT_EQ(a, b) << "x=" << x << " dz=" << dz;
-      for (std::size_t i = 0; i < kNumAdvisories; ++i) {
-        ASSERT_NEAR(point.last_costs()[i], belief.last_costs()[i], 1e-9);
+      const Advisory before = logic.current_advisory();
+      const Advisory a = logic.decide(own, intr);
+      const TauEstimate& tau = logic.last_tau();
+      if (!tau.converging || tau.tau_s > tau_alert_max_s) {
+        ASSERT_EQ(a, Advisory::kCoc) << "x=" << x << " dz=" << dz;
+        continue;
       }
+      ++alerting;
+      const auto direct = (*table_)->action_costs(
+          tau.tau_s, units::m_to_ft(intr.position_m.z - own.position_m.z),
+          units::m_to_ft(own.velocity_mps.z), units::m_to_ft(intr.velocity_mps.z), before);
+      for (std::size_t i = 0; i < kNumAdvisories; ++i) {
+        ASSERT_EQ(logic.last_costs()[i], direct[i]) << "x=" << x << " dz=" << dz;
+      }
+      ASSERT_EQ(a, select_advisory(direct, Sense::kNone, before)) << "x=" << x << " dz=" << dz;
     }
   }
+  EXPECT_GT(alerting, 0);
 }
 
 TEST_F(BeliefTest, AveragedCostsAreConvexCombinations) {
   BeliefConfig config;
   config.h_sigma_ft = 100.0;
   config.dh_int_sigma_fps = 5.0;
-  BeliefAwareLogic belief(*table_, config);
+  AcasXuLogic belief(*table_, {}, config);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(1200, 0, 1015, -40, 0, -1.0);
   belief.decide(own, intr);
@@ -91,7 +101,7 @@ TEST_F(BeliefTest, AveragedCostsAreConvexCombinations) {
 }
 
 TEST_F(BeliefTest, FarTrafficStillCoc) {
-  BeliefAwareLogic belief(*table_);
+  AcasXuLogic belief(*table_, {}, kSensorBelief);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(30000, 0, 1000, -40, 0, 0);
   EXPECT_EQ(belief.decide(own, intr), Advisory::kCoc);
@@ -103,10 +113,10 @@ TEST_F(BeliefTest, CoordinationMaskRespected) {
   // back to COC (see UncertaintyChangesCommitmentNearAmbiguity).
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(900, 0, 1000, -40, 0, 0);
-  BeliefAwareLogic free_logic(*table_);
+  AcasXuLogic free_logic(*table_, {}, kSensorBelief);
   const Advisory unconstrained = free_logic.decide(own, intr);
   ASSERT_NE(unconstrained, Advisory::kCoc);
-  BeliefAwareLogic constrained(*table_);
+  AcasXuLogic constrained(*table_, {}, kSensorBelief);
   const Advisory forced = constrained.decide(own, intr, sense_of(unconstrained));
   EXPECT_NE(sense_of(forced), sense_of(unconstrained));
 }
@@ -121,7 +131,7 @@ TEST_F(BeliefTest, UncertaintyChangesCommitmentNearAmbiguity) {
   int disagreements = 0;
   for (double dz = -30.0; dz <= 30.0; dz += 5.0) {
     AcasXuLogic point(*table_);
-    BeliefAwareLogic belief(*table_, config);
+    AcasXuLogic belief(*table_, {}, config);
     const auto own = track(0, 0, 1000, 40, 0, 0);
     const auto intr = track(1100, 0, 1000 + dz, -40, 0, 0);
     if (point.decide(own, intr) != belief.decide(own, intr)) ++disagreements;
@@ -130,14 +140,13 @@ TEST_F(BeliefTest, UncertaintyChangesCommitmentNearAmbiguity) {
 }
 
 TEST_F(BeliefTest, RejectsInvalidConfig) {
-  BeliefConfig bad;
-  bad.h_sigma_ft = -1.0;
-  EXPECT_THROW(BeliefAwareLogic(*table_, bad), ContractViolation);
-  EXPECT_THROW(BeliefAwareLogic(nullptr), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(*table_, {}, BeliefConfig{-1.0, 1.6}), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(*table_, {}, BeliefConfig{25.0, -1.0}), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(nullptr, {}, kSensorBelief), ContractViolation);
 }
 
 TEST_F(BeliefTest, ResetClearsAdvisory) {
-  BeliefAwareLogic belief(*table_);
+  AcasXuLogic belief(*table_, {}, kSensorBelief);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(900, 0, 1000, -40, 0, 0);
   ASSERT_NE(belief.decide(own, intr), Advisory::kCoc);
@@ -153,14 +162,13 @@ TEST_F(BeliefTest, ModerateBeliefClosedLoopNotLessSafe) {
   config.runs_per_encounter = 60;
   config.sim.adsb.vertical_pos_sigma_m = 30.0;
 
-  acasx::BeliefConfig belief;
-  belief.h_sigma_ft = 80.0;
+  const BeliefConfig belief{80.0, 1.6};
 
   const core::EncounterEvaluator point_eval(config, sim::AcasXuCas::factory(*table_),
                                             sim::AcasXuCas::factory(*table_));
   const core::EncounterEvaluator belief_eval(
-      config, sim::BeliefAcasXuCas::factory(*table_, belief),
-      sim::BeliefAcasXuCas::factory(*table_, belief));
+      config, sim::AcasXuCas::factory(*table_, {.belief = belief}),
+      sim::AcasXuCas::factory(*table_, {.belief = belief}));
 
   const auto point_result = point_eval.evaluate(encounter::head_on(), 9);
   const auto belief_result = belief_eval.evaluate(encounter::head_on(), 9);
@@ -172,10 +180,10 @@ TEST_F(BeliefTest, OversizedBeliefSuppressesAlertGradient) {
   // belief far beyond the table's structure and the maneuver-vs-COC
   // gradient washes out, so the logic stops alerting on a genuine
   // co-altitude collision course.
-  acasx::BeliefConfig oversized;
+  BeliefConfig oversized;
   oversized.h_sigma_ft = 500.0;
   oversized.dh_int_sigma_fps = 20.0;
-  BeliefAwareLogic smeared(*table_, oversized);
+  AcasXuLogic smeared(*table_, {}, oversized);
   AcasXuLogic point(*table_);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   int point_alerts = 0;

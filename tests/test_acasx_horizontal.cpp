@@ -10,10 +10,10 @@
 #include <memory>
 
 #include "acasx/offline_solver.h"
+#include "coarse_horizontal_table.h"
 #include "core/fitness.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/combined_cas.h"
 #include "util/expect.h"
 
 namespace cav::acasx {
@@ -21,17 +21,6 @@ namespace {
 
 AircraftTrack track(double x, double y, double z, double vx, double vy, double vz) {
   return {{x, y, z}, {vx, vy, vz}};
-}
-
-/// The coarse horizontal table, solved once per process for both suites
-/// below (the solve is deterministic).
-std::shared_ptr<const HorizontalTable> coarse_horizontal_table() {
-  static const std::shared_ptr<const HorizontalTable> table = [] {
-    ThreadPool pool;
-    return std::make_shared<const HorizontalTable>(
-        solve_horizontal_table(HorizontalConfig::coarse(), &pool));
-  }();
-  return table;
 }
 
 class HorizontalTest : public ::testing::Test {
@@ -219,7 +208,7 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
   const auto vertical_only = sim::AcasXuCas::factory(*vertical_);
-  const auto combined = sim::CombinedCas::factory(*vertical_, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {.horizontal = *horizontal_});
 
   const core::EncounterEvaluator before(config, vertical_only, vertical_only);
   const core::EncounterEvaluator after(config, combined, combined);
@@ -234,14 +223,14 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
 TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
-  const auto combined = sim::CombinedCas::factory(*vertical_, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {.horizontal = *horizontal_});
   const core::EncounterEvaluator evaluator(config, combined, combined);
   const auto head = evaluator.evaluate(encounter::head_on(), 2);
   EXPECT_LE(head.nmac_count, 3U);
 }
 
 TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
-  sim::CombinedCas cas(*vertical_, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {.horizontal = *horizontal_});
   // Slow overtake: expect a turn without necessarily a vertical advisory.
   const auto d = cas.decide(track(0, 0, 1000, 25, 0, 0), track(-200, 0, 1000, 31, 0, 0),
                             Sense::kNone);
@@ -253,11 +242,11 @@ TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
 }
 
 TEST_F(CombinedClosedLoopTest, ResetClearsBothChannels) {
-  sim::CombinedCas cas(*vertical_, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {.horizontal = *horizontal_});
   cas.decide(track(0, 0, 1000, 25, 0, 0), track(-300, 0, 1000, 31, 0, 0), Sense::kNone);
   cas.reset();
-  EXPECT_EQ(cas.vertical().current_advisory(), Advisory::kCoc);
-  EXPECT_EQ(cas.horizontal().current_advisory(), TurnAdvisory::kStraight);
+  EXPECT_EQ(cas.logic().current_advisory(), Advisory::kCoc);
+  EXPECT_EQ(cas.horizontal()->current_advisory(), TurnAdvisory::kStraight);
 }
 
 }  // namespace

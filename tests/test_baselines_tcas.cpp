@@ -133,10 +133,5 @@ TEST(TcasLike, FactoryProducesIndependentInstances) {
   EXPECT_FALSE(d.maneuver);
 }
 
-TEST(TcasLike, NameIsStable) {
-  TcasLikeCas tcas;
-  EXPECT_EQ(tcas.name(), "TCAS-like");
-}
-
 }  // namespace
 }  // namespace cav::baselines

@@ -38,7 +38,7 @@ class DegradedFixtureTest : public ::testing::Test {
   static bool run_nmac(const DegradedScenario& d, sim::ThreatPolicy policy) {
     sim::SimConfig config;
     config.threat_policy = policy;
-    const sim::CasFactory factory = sim::AcasXuCas::factory(table_, {}, {}, {}, joint_);
+    const sim::CasFactory factory = sim::AcasXuCas::factory(table_, {.joint = joint_});
     return run_degraded_scenario(d, config, factory, factory).own_nmac();
   }
 

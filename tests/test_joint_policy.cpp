@@ -66,7 +66,7 @@ TEST(JointPolicyRingTest, JointTableBeatsCostFusionOnThePairedSeedRing) {
       run_ring(ring, ThreatPolicy::kCostFused, AcasXuCas::factory(table), kSeeds);
   const PolicyOutcome jointly =
       run_ring(ring, ThreatPolicy::kJointTable,
-               AcasXuCas::factory(table, {}, {}, {}, joint), kSeeds);
+               AcasXuCas::factory(table, {.joint = joint}), kSeeds);
 
   EXPECT_GT(fused.own_nmacs, 0) << "sanity: the squeeze still defeats pairwise fusion";
   EXPECT_LT(jointly.own_nmacs, fused.own_nmacs)

@@ -16,7 +16,6 @@
 #include "encounter/encounter.h"
 #include "encounter/statistical_model.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "sim/simulation.h"
 
 namespace cav {
@@ -33,12 +32,16 @@ class PropertySweepTest : public ::testing::TestWithParam<int> {
     table_ = nullptr;
   }
 
-  static std::vector<sim::CasFactory> all_systems() {
+  struct System {
+    const char* label;
+    sim::CasFactory factory;
+  };
+  static std::vector<System> all_systems() {
     return {
-        sim::AcasXuCas::factory(*table_),
-        sim::BeliefAcasXuCas::factory(*table_),
-        baselines::TcasLikeCas::factory(),
-        baselines::SvoCas::factory(),
+        {"ACAS-XU", sim::AcasXuCas::factory(*table_)},
+        {"ACAS-XU belief", sim::AcasXuCas::factory(*table_, {.belief = {25.0, 1.6}})},
+        {"TCAS-like", baselines::TcasLikeCas::factory()},
+        {"SVO", baselines::SvoCas::factory()},
     };
   }
 
@@ -51,7 +54,7 @@ TEST_P(PropertySweepTest, DecisionsAreAlwaysWellFormed) {
   RngStream rng(static_cast<std::uint64_t>(GetParam()));
   const encounter::ParamRanges ranges = encounter::monte_carlo_ranges();
 
-  for (auto& factory : all_systems()) {
+  for (const auto& [label, factory] : all_systems()) {
     auto cas = factory();
     for (int i = 0; i < 40; ++i) {
       const auto params = ranges.sample_uniform(rng);
@@ -60,20 +63,20 @@ TEST_P(PropertySweepTest, DecisionsAreAlwaysWellFormed) {
       const acasx::AircraftTrack intr{init.intruder.position_m, init.intruder.velocity_mps()};
       const auto decision = cas->decide(own, intr, acasx::Sense::kNone);
 
-      ASSERT_TRUE(std::isfinite(decision.target_vs_mps)) << cas->name();
-      ASSERT_TRUE(std::isfinite(decision.accel_mps2)) << cas->name();
-      ASSERT_FALSE(decision.label.empty()) << cas->name();
+      ASSERT_TRUE(std::isfinite(decision.target_vs_mps)) << label;
+      ASSERT_TRUE(std::isfinite(decision.accel_mps2)) << label;
+      ASSERT_FALSE(decision.label.empty()) << label;
       if (decision.maneuver) {
-        ASSERT_NE(decision.sense, acasx::Sense::kNone) << cas->name();
-        ASSERT_GE(decision.accel_mps2, 0.0) << cas->name();
+        ASSERT_NE(decision.sense, acasx::Sense::kNone) << label;
+        ASSERT_GE(decision.accel_mps2, 0.0) << label;
         // A climb sense must not command a descent and vice versa.
         if (decision.sense == acasx::Sense::kClimb) {
-          ASSERT_GE(decision.target_vs_mps, -1e-9) << cas->name();
+          ASSERT_GE(decision.target_vs_mps, -1e-9) << label;
         } else {
-          ASSERT_LE(decision.target_vs_mps, 1e-9) << cas->name();
+          ASSERT_LE(decision.target_vs_mps, 1e-9) << label;
         }
       } else {
-        ASSERT_EQ(decision.sense, acasx::Sense::kNone) << cas->name();
+        ASSERT_EQ(decision.sense, acasx::Sense::kNone) << label;
       }
     }
   }
@@ -82,7 +85,7 @@ TEST_P(PropertySweepTest, DecisionsAreAlwaysWellFormed) {
 TEST_P(PropertySweepTest, CoordinationConstraintIsNeverViolated) {
   RngStream rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   const encounter::ParamRanges ranges;
-  for (auto& factory : all_systems()) {
+  for (const auto& [label, factory] : all_systems()) {
     for (const auto forbidden : {acasx::Sense::kClimb, acasx::Sense::kDescend}) {
       auto cas = factory();
       for (int i = 0; i < 25; ++i) {
@@ -92,7 +95,7 @@ TEST_P(PropertySweepTest, CoordinationConstraintIsNeverViolated) {
         const acasx::AircraftTrack intr{init.intruder.position_m, init.intruder.velocity_mps()};
         const auto decision = cas->decide(own, intr, forbidden);
         ASSERT_NE(decision.sense, forbidden)
-            << cas->name() << " violated the coordination constraint";
+            << label << " violated the coordination constraint";
       }
     }
   }

@@ -75,7 +75,7 @@ TEST(RngEquivalenceTest, ConvergingRingRatesMatchThePreviousGenerator) {
       {"nearest", ThreatPolicy::kNearest, AcasXuCas::factory(table), {1014, 1174}, {1010, 1178}},
       {"cost-fused", ThreatPolicy::kCostFused, AcasXuCas::factory(table), {628, 1178},
        {637, 1172}},
-      {"joint", ThreatPolicy::kJointTable, AcasXuCas::factory(table, {}, {}, {}, joint),
+      {"joint", ThreatPolicy::kJointTable, AcasXuCas::factory(table, {.joint = joint}),
        {379, 1154}, {377, 1168}},
   };
   for (const Case& c : cases) {

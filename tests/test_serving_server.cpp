@@ -17,7 +17,7 @@
 #include "acasx/joint_solver.h"
 #include "acasx/offline_solver.h"
 #include "acasx/online_logic.h"
-#include "sim/served_cas.h"
+#include "sim/acasx_cas.h"
 #include "util/expect.h"
 #include "util/thread_pool.h"
 
@@ -259,16 +259,18 @@ TEST_F(PolicyServerTest, QuantizedPayloadIsSmaller) {
   std::remove(path.c_str());
 }
 
-TEST_F(PolicyServerTest, ServedCasFactoriesRejectQuantizedServing) {
+TEST_F(PolicyServerTest, CasFactoryRejectsQuantizedServing) {
   const std::string path = ::testing::TempDir() + "serving_server_f16.img";
   pair_->save(path, Quantization::kFloat16);
   const PolicyServer quant_server = PolicyServer::open(path);
-  EXPECT_THROW(sim::served_acasx_factory(quant_server), ContractViolation);
-  EXPECT_THROW(sim::served_belief_factory(quant_server), ContractViolation);
+  EXPECT_THROW(sim::AcasXuCas::factory(quant_server.pairwise_table(),
+                                       {.joint = quant_server.joint_table()}),
+               ContractViolation);
 
-  // The f32-mapped server wires straight into the CAS adapters.
+  // The f32-mapped server wires straight into the CAS adapter.
   const PolicyServer mapped = PolicyServer::open(pair_img_, joint_img_);
-  const sim::CasFactory factory = sim::served_acasx_factory(mapped);
+  const sim::CasFactory factory =
+      sim::AcasXuCas::factory(mapped.pairwise_table(), {.joint = mapped.joint_table()});
   EXPECT_NE(factory(), nullptr);
   std::remove(path.c_str());
 }

@@ -65,7 +65,6 @@ class ScriptedCas final : public CollisionAvoidanceSystem {
     return d;
   }
   void reset() override { cycle_ = 0; }
-  std::string name() const override { return "scripted"; }
 
  private:
   std::vector<ScriptedStep> script_;

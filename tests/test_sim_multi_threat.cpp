@@ -51,7 +51,6 @@ class FakeCostCas final : public CollisionAvoidanceSystem {
     return {};
   }
   void reset() override {}
-  std::string name() const override { return "fake-cost"; }
 
   bool evaluate_costs(const acasx::AircraftTrack&, const ThreatObservation& threat,
                       ThreatCosts* out) override {
@@ -91,7 +90,6 @@ class AlwaysClimbCas final : public CollisionAvoidanceSystem {
     return d;
   }
   void reset() override {}
-  std::string name() const override { return "always-climb"; }
 };
 
 /// Sanitizer-affordable joint config: full 100 ft h1 resolution (the NMAC
@@ -124,7 +122,7 @@ class MultiThreatWithTableTest : public ::testing::Test {
     joint_ = nullptr;
   }
   static CasFactory equipped() { return AcasXuCas::factory(*table_); }
-  static CasFactory joint_equipped() { return AcasXuCas::factory(*table_, {}, {}, {}, *joint_); }
+  static CasFactory joint_equipped() { return AcasXuCas::factory(*table_, {.joint = *joint_}); }
   static std::shared_ptr<const acasx::LogicTable>* table_;
   static std::shared_ptr<const acasx::JointLogicTable>* joint_;
 };
@@ -457,7 +455,7 @@ TEST_F(MultiThreatWithTableTest, DivergingSecondaryFallsBackToPairwiseAdvisory) 
   ASSERT_EQ(threats[0].aircraft_id, 1);
   ASSERT_FALSE(threats[1].converging);
 
-  AcasXuCas with_joint(*table_, {}, {}, {}, *joint_);
+  AcasXuCas with_joint(*table_, {.joint = *joint_});
   ResolverStats stats;
   const CasDecision resolved =
       resolver.resolve(with_joint, own, threats, &stats, ThreatPolicy::kJointTable);
@@ -482,7 +480,6 @@ class FakeJointCas final : public CollisionAvoidanceSystem {
     return {};
   }
   void reset() override {}
-  std::string name() const override { return "fake-joint"; }
 
   bool evaluate_costs(const acasx::AircraftTrack&, const ThreatObservation& threat,
                       ThreatCosts* out) override {
