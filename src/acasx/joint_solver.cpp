@@ -6,10 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "acasx/dynamics.h"
-#include "acasx/stencil_image.h"
 #include "util/expect.h"
 
 namespace cav::acasx {
@@ -64,9 +64,8 @@ StencilRow build_stencil_row(const GridN<4>& grid, double h1, double dh_own, dou
   return row;
 }
 
-StencilArrays build_sense_stencils(const GridN<4>& grid, double dh2_rep,
-                                   const DynamicsConfig& dyn,
-                                   const std::array<NoiseSample, 3>& noise, ThreadPool* pool) {
+StencilSet build_sense_stencils(const GridN<4>& grid, double dh2_rep, const DynamicsConfig& dyn,
+                                const std::array<NoiseSample, 3>& noise, ThreadPool* pool) {
   const std::size_t num_points = grid.size();
   const std::size_t num_rows = num_points * kNumAdvisories;
 
@@ -90,7 +89,7 @@ StencilArrays build_sense_stencils(const GridN<4>& grid, double dh2_rep,
     build_range(0, num_points);
   }
 
-  StencilArrays set;
+  StencilSet set;
   set.group_offsets.assign(num_rows + 1, 0);
   std::size_t num_groups = 0;
   std::size_t num_entries = 0;
@@ -127,59 +126,22 @@ JointStencilSets build_stencils_for(const JointConfig& config, ThreadPool* pool,
   for (std::size_t s = 0; s < kNumSecondarySenses; ++s) {
     const double dh2_rep =
         config.secondary.representative_rate_fps(static_cast<SecondarySense>(s));
-    sets.per_sense[s] = StencilSet::adopt(
-        build_sense_stencils(grid, dh2_rep, config.dynamics, noise, pool));
+    sets.per_sense[s] = build_sense_stencils(grid, dh2_rep, config.dynamics, noise, pool);
   }
   build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
   return sets;
 }
 
-JointLogicTable run_joint_induction(const JointConfig& config, const JointStencilSets& stencils,
-                                    ThreadPool* pool, JointSolveStats* stats,
-                                    std::chrono::steady_clock::time_point start_time) {
-  JointLogicTable table(config);
-  for (std::size_t s = 0; s < kNumSecondarySenses; ++s) {
-    expect(stencils.per_sense[s].group_offsets.size() ==
-               table.grid().size() * kNumAdvisories + 1,
-           "joint stencils were built for this grid");
-  }
-  // Each slab is contiguous in the table (slab index slowest), so the
-  // per-slab kernel writes straight into the table's slab slice.
-  const std::size_t slab_floats =
-      table.num_tau_layers() * table.num_grid_points() * kNumAdvisories * kNumAdvisories;
-  const std::span<float> q{table.raw()};
-  for (std::size_t db = 0; db < config.secondary.num_delta_bins; ++db) {
-    for (std::size_t s = 0; s < kNumSecondarySenses; ++s) {
-      const std::size_t slab = config.slab_index(db, static_cast<SecondarySense>(s));
-      solve_joint_slab(config, stencils.per_sense[s], db, static_cast<SecondarySense>(s), pool,
-                       q.subspan(slab * slab_floats, slab_floats));
-    }
-  }
-  if (stats != nullptr) {
-    stats->states_per_layer = table.num_grid_points() * kNumAdvisories;
-    stats->layers = table.num_tau_layers();
-    stats->slabs = table.num_slabs();
-    stats->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-  }
-  return table;
-}
-
-}  // namespace
-
+/// Solve one (delta bin, sense class) slab's full tau recursion into
+/// `slab_out`, laid out [tau][grid4][ra][action] like the table's slab.
+/// `stencils` is the set compiled for the slab's sense class.
 void solve_joint_slab(const JointConfig& config, const StencilSet& stencils,
-                      std::size_t delta_bin, SecondarySense sense, ThreadPool* pool,
-                      std::span<float> slab_out) {
+                      std::size_t delta_bin, ThreadPool* pool, std::span<float> slab_out) {
   const GridN<4> grid = config.grid();
   const std::size_t num_points = grid.size();
   const std::size_t tau_max = config.space.tau_max;
   constexpr std::size_t kQPerPoint = kNumAdvisories * kNumAdvisories;
-  expect(stencils.group_offsets.size() == num_points * kNumAdvisories + 1,
-         "joint stencils were built for this grid");
-  expect(slab_out.size() == (tau_max + 1) * num_points * kQPerPoint,
-         "slab buffer matches [tau][grid][ra][action]");
-  (void)sense;  // the sense selects `stencils`; the recursion itself is sense-blind
 
   // The primary's CPA layer inside this slab: delta bin values must land
   // on integer tau layers (SecondaryAbstraction's contract) and inside the
@@ -265,19 +227,42 @@ void solve_joint_slab(const JointConfig& config, const StencilSet& stencils,
   }
 }
 
+JointLogicTable run_joint_induction(const JointConfig& config, const JointStencilSets& stencils,
+                                    ThreadPool* pool, JointSolveStats* stats,
+                                    std::chrono::steady_clock::time_point start_time) {
+  JointLogicTable table(config);
+  for (std::size_t s = 0; s < kNumSecondarySenses; ++s) {
+    expect(stencils.per_sense[s].group_offsets.size() ==
+               table.grid().size() * kNumAdvisories + 1,
+           "joint stencils were built for this grid");
+  }
+  // Each slab is contiguous in the table (slab index slowest), so the
+  // per-slab kernel writes straight into the table's slab slice.
+  const std::size_t slab_floats =
+      table.num_tau_layers() * table.num_grid_points() * kNumAdvisories * kNumAdvisories;
+  const std::span<float> q{table.raw()};
+  for (std::size_t db = 0; db < config.secondary.num_delta_bins; ++db) {
+    for (std::size_t s = 0; s < kNumSecondarySenses; ++s) {
+      const std::size_t slab = config.slab_index(db, static_cast<SecondarySense>(s));
+      solve_joint_slab(config, stencils.per_sense[s], db, pool,
+                       q.subspan(slab * slab_floats, slab_floats));
+    }
+  }
+  if (stats != nullptr) {
+    stats->states_per_layer = table.num_grid_points() * kNumAdvisories;
+    stats->layers = table.num_tau_layers();
+    stats->slabs = table.num_slabs();
+    stats->wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
+  }
+  return table;
+}
+
+}  // namespace
+
 JointOfflineSolver::JointOfflineSolver(const JointConfig& config, ThreadPool* pool)
     : config_(config) {
   stencils_ = build_stencils_for(config, pool, build_seconds_);
-}
-
-void JointOfflineSolver::save_stencils(const std::string& path) const {
-  save_joint_stencil_image(path, config_, stencils_.per_sense);
-}
-
-JointOfflineSolver JointOfflineSolver::open_stencils(const std::string& path) {
-  JointOfflineSolver solver;
-  solver.stencils_.per_sense = open_joint_stencil_image(path, &solver.config_);
-  return solver;
 }
 
 JointLogicTable JointOfflineSolver::solve(const CostModel& costs, ThreadPool* pool,

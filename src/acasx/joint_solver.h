@@ -23,15 +23,12 @@
 // so revision loops never pay the stencil build twice).
 //
 // Slabs are mutually independent (each starts its own terminal layer), so
-// the whole-table solve is just a loop over solve_joint_slab — the same
-// per-slab kernel the distributed solve (dist/solve_driver.h) hands to
-// worker processes, whose outputs concatenate bit-identically.
+// the whole-table solve is a loop over slabs, each written straight into
+// its contiguous slice of the table.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <span>
-#include <string>
 
 #include "acasx/joint_table.h"
 #include "acasx/stencil_set.h"
@@ -60,16 +57,6 @@ struct JointSolveStats {
   double stencil_build_seconds = 0.0;  ///< time spent precompiling stencils
 };
 
-/// Solve one (delta bin, sense class) slab's full tau recursion into
-/// `slab_out`, a buffer of num_tau_layers * grid4 * kNumAdvisories^2
-/// floats laid out [tau][grid4][ra][action] — exactly the table's slab
-/// layout, so a slab computed in a worker process and memcpy'd into the
-/// table is bit-identical to the serial in-process solve.  `stencils`
-/// must be the set compiled for `sense`.
-void solve_joint_slab(const JointConfig& config, const StencilSet& stencils,
-                      std::size_t delta_bin, SecondarySense sense, ThreadPool* pool,
-                      std::span<float> slab_out);
-
 /// Compile-once / solve-per-revision joint solver.  The stencils depend
 /// only on the state-space discretization, the dynamics model, and the
 /// secondary abstraction — NOT on the cost model — so every solve(costs)
@@ -92,25 +79,11 @@ class JointOfflineSolver {
   /// Solve with the cost model the structure was compiled with.
   JointLogicTable solve(ThreadPool* pool = nullptr, JointSolveStats* stats = nullptr) const;
 
-  /// Dump the compiled per-sense stencils (plus the config they were built
-  /// under) into a "STE2" serving::TableImage, and mmap one back — the
-  /// joint analogue of CompiledAcasModel::save_stencils, used by the
-  /// distributed solve to ship the transition structure to workers without
-  /// recompiling it per process.  open_stencils validates every sense
-  /// set's shape against the embedded config grid.
-  void save_stencils(const std::string& path) const;
-  static JointOfflineSolver open_stencils(const std::string& path);
-
   const JointConfig& config() const { return config_; }
-  const StencilSet& sense_stencils(SecondarySense sense) const {
-    return stencils_.per_sense[static_cast<std::size_t>(sense)];
-  }
   std::size_t stencil_entries() const { return stencils_.num_entries(); }
   double stencil_build_seconds() const { return build_seconds_; }
 
  private:
-  JointOfflineSolver() = default;
-
   JointConfig config_;
   JointStencilSets stencils_;
   double build_seconds_ = 0.0;

@@ -223,11 +223,6 @@ class JointLogicTable {
   /// value payload — how PolicyServer serves quantized images directly.
   static JointConfig decode_config(const serving::TableImage& image);
 
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — the one
-  /// JointConfig codec, shared by save() and by every artifact that
-  /// embeds a joint solver config (stencil images).
-  static void encode_config(const JointConfig& config, serving::TableImageWriter& writer);
-
   /// The value payload, owning or mapped — the serving kernel's view.
   const float* values() const { return view_ != nullptr ? view_ : q_.data(); }
 
@@ -237,6 +232,10 @@ class JointLogicTable {
   const std::vector<float>& raw() const;
 
  private:
+  /// Append the config's meta_f64/meta_u64 slabs to `writer` — save()'s
+  /// half of the JointConfig codec that decode_config reads back.
+  static void encode_config(const JointConfig& config, serving::TableImageWriter& writer);
+
   JointConfig config_;
   GridN<4> grid_;
   std::vector<float> q_;

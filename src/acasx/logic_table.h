@@ -103,12 +103,6 @@ class LogicTable {
   /// value payload — how PolicyServer serves quantized images directly.
   static AcasXuConfig decode_config(const serving::TableImage& image);
 
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — the one
-  /// AcasXuConfig codec, shared by save() and by every artifact that
-  /// embeds a solver config (stencil images, acasx/stencil_image.h).
-  /// decode_config reads the result back from any image kind.
-  static void encode_config(const AcasXuConfig& config, serving::TableImageWriter& writer);
-
   /// The value payload, owning or mapped — the serving kernel's view.
   const float* values() const { return view_ != nullptr ? view_ : q_.data(); }
 
@@ -118,6 +112,10 @@ class LogicTable {
   const std::vector<float>& raw() const;
 
  private:
+  /// Append the config's meta_f64/meta_u64 slabs to `writer` — save()'s
+  /// half of the AcasXuConfig codec that decode_config reads back.
+  static void encode_config(const AcasXuConfig& config, serving::TableImageWriter& writer);
+
   AcasXuConfig config_;
   GridN<3> grid_;
   std::vector<float> q_;

@@ -22,19 +22,12 @@
 // points.  SolverMode::kReference keeps the original per-layer
 // recomputation as a cross-check.
 //
-// The per-layer sweep kernel is exposed (sweep_pair_layer_range) so the
-// distributed solve (dist/solve_driver.h) can hand grid-point slices of a
-// tau layer to worker processes and concatenate the results bit-
-// identically to the serial pass.
-//
 // This is the paper's "Optimization" box in Fig. 1 (MDP model -> logic
 // table); footnote 2 reports <5 min on a laptop for the real model — the
 // bench_value_iteration binary reports our timing.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <string>
 
 #include "acasx/logic_table.h"
 #include "acasx/stencil_set.h"
@@ -64,23 +57,6 @@ LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool = null
                              SolveStats* stats = nullptr,
                              SolverMode mode = SolverMode::kPrecompiledStencils);
 
-/// Fill the terminal (tau = 0) value layer: out[g * kNumAdvisories + ra],
-/// sized num_grid_points * kNumAdvisories.  Shared by the in-process
-/// induction and the distributed solve so both recursions start from
-/// bit-identical values.
-void fill_pair_terminal_layer(const AcasXuConfig& config, std::span<float> out);
-
-/// Apply one tau layer's stencil sweep to grid points [begin, end), given
-/// the full previous value layer.  Writes
-///   q_out[(g - begin) * kNumAdvisories^2 + ra * kNumAdvisories + a]
-///   v_out[(g - begin) * kNumAdvisories + ra]
-/// — exactly the per-point kernel the serial induction applies, exposed so
-/// worker processes can compute slices whose concatenation is
-/// bit-identical to the single-process solve.
-void sweep_pair_layer_range(const AcasXuConfig& config, const StencilSet& stencils,
-                            std::span<const float> v_prev, std::size_t begin, std::size_t end,
-                            float* q_out, float* v_out);
-
 /// The compiled transition structure of the ACAS XU MDP: the successor
 /// stencils depend only on the state-space discretization and the dynamics
 /// model, NOT on the cost ("preference") model.  Model-revision loops that
@@ -108,24 +84,11 @@ class CompiledAcasModel {
   /// Solve with the cost model the structure was compiled with.
   LogicTable solve(ThreadPool* pool = nullptr, SolveStats* stats = nullptr) const;
 
-  /// Dump the compiled stencils (plus the config they were built under)
-  /// into a "STEN" serving::TableImage, and mmap one back.  This is how
-  /// the distributed solve ships the transition structure to workers:
-  /// the driver compiles (or reuses) one image, every worker open_stencils
-  /// it, and the page cache shares a single physical copy.  open_stencils
-  /// validates the arrays against the embedded config grid and throws
-  /// serving::TableIoError on any shape mismatch.
-  void save_stencils(const std::string& path) const;
-  static CompiledAcasModel open_stencils(const std::string& path);
-
   const AcasXuConfig& config() const { return config_; }
-  const StencilSet& stencils() const { return stencils_; }
   std::size_t stencil_entries() const { return stencils_.num_entries(); }
   double stencil_build_seconds() const { return build_seconds_; }
 
  private:
-  CompiledAcasModel() = default;
-
   AcasXuConfig config_;
   StencilSet stencils_;
   double build_seconds_ = 0.0;

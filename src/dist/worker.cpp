@@ -6,15 +6,10 @@
 #include <cstdlib>
 #include <exception>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "acasx/joint_solver.h"
-#include "acasx/offline_solver.h"
 #include "core/validation_campaign.h"
 #include "dist/spec_codec.h"
 #include "dist/wire.h"
-#include "util/expect.h"
 
 namespace cav::dist {
 namespace {
@@ -24,11 +19,9 @@ std::size_t env_count(const char* name) {
   return v != nullptr ? static_cast<std::size_t>(std::strtoull(v, nullptr, 10)) : 0;
 }
 
-/// Per-process request state: the installed campaign / solver contexts.
+/// Per-process request state: the installed campaign.
 struct WorkerState {
   std::optional<core::ValidationCampaign> campaign;
-  std::optional<acasx::CompiledAcasModel> pair_model;
-  std::optional<acasx::JointOfflineSolver> joint_solver;
 
   // Test knobs (see worker.h).
   std::size_t exit_after_stripes = env_count("CAV_WORKER_EXIT_AFTER_STRIPES");
@@ -59,60 +52,6 @@ void handle_run_stripe(WorkerState& state, ByteReader& in, int out_fd) {
   reply(out_fd, MsgType::kStripeResult, out);
 }
 
-void handle_pair_sweep(WorkerState& state, ByteReader& in, int out_fd) {
-  if (!state.pair_model.has_value()) throw ProtocolError("sweep before pair solve setup");
-  const acasx::CompiledAcasModel& model = *state.pair_model;
-  const std::size_t num_points = model.config().space.grid().size();
-
-  const std::uint64_t begin = in.u64();
-  const std::uint64_t end = in.u64();
-  const std::vector<float> v_prev = in.array<float>();
-  in.expect_end();
-  if (begin > end || end > num_points) throw ProtocolError("sweep range outside grid");
-  if (v_prev.size() != num_points * acasx::kNumAdvisories) {
-    throw ProtocolError("value layer does not match grid");
-  }
-
-  const std::size_t points = static_cast<std::size_t>(end - begin);
-  std::vector<float> q(points * acasx::kNumAdvisories * acasx::kNumAdvisories);
-  std::vector<float> v(points * acasx::kNumAdvisories);
-  sweep_pair_layer_range(model.config(), model.stencils(), v_prev,
-                         static_cast<std::size_t>(begin), static_cast<std::size_t>(end),
-                         q.data(), v.data());
-
-  ByteWriter out;
-  out.u64(begin);
-  out.u64(end);
-  out.array<float>(q);
-  out.array<float>(v);
-  reply(out_fd, MsgType::kPairSweepResult, out);
-}
-
-void handle_joint_slab(WorkerState& state, ByteReader& in, int out_fd) {
-  if (!state.joint_solver.has_value()) throw ProtocolError("slab before joint solve setup");
-  const acasx::JointOfflineSolver& solver = *state.joint_solver;
-  const acasx::JointConfig& config = solver.config();
-
-  const std::uint64_t delta_bin = in.u64();
-  const std::uint32_t sense_raw = in.u32();
-  in.expect_end();
-  if (delta_bin >= config.secondary.num_delta_bins) throw ProtocolError("bad delta bin");
-  if (sense_raw >= acasx::kNumSecondarySenses) throw ProtocolError("bad sense class");
-  const auto sense = static_cast<acasx::SecondarySense>(sense_raw);
-
-  const std::size_t slab_floats = (config.space.tau_max + 1) * config.grid().size() *
-                                  acasx::kNumAdvisories * acasx::kNumAdvisories;
-  std::vector<float> slab(slab_floats);
-  solve_joint_slab(config, solver.sense_stencils(sense), static_cast<std::size_t>(delta_bin),
-                   sense, nullptr, slab);
-
-  ByteWriter out;
-  out.u64(delta_bin);
-  out.u32(sense_raw);
-  out.array<float>(slab);
-  reply(out_fd, MsgType::kJointSlabResult, out);
-}
-
 }  // namespace
 
 int worker_main(int in_fd, int out_fd) {
@@ -138,20 +77,6 @@ int worker_main(int in_fd, int out_fd) {
           break;
         case MsgType::kRunStripe:
           handle_run_stripe(state, in, out_fd);
-          break;
-        case MsgType::kPairSolveSetup:
-          state.pair_model.emplace(acasx::CompiledAcasModel::open_stencils(in.str()));
-          in.expect_end();
-          break;
-        case MsgType::kPairSweep:
-          handle_pair_sweep(state, in, out_fd);
-          break;
-        case MsgType::kJointSolveSetup:
-          state.joint_solver.emplace(acasx::JointOfflineSolver::open_stencils(in.str()));
-          in.expect_end();
-          break;
-        case MsgType::kJointSlab:
-          handle_joint_slab(state, in, out_fd);
           break;
         default:
           throw ProtocolError("unexpected frame type in worker");

@@ -1,12 +1,13 @@
 // The cav_worker process body: a single-threaded request/response loop
 // over two pipe fds (requests in, results out).
 //
-// A worker is STATEFUL between frames — kCampaignSetup / kPairSolveSetup /
-// kJointSolveSetup install the campaign or the mmap'd stencils once, then
-// any number of kRunStripe / kPairSweep / kJointSlab requests run against
-// them — but carries NO accumulation state: every response is a pure
-// function of (setup, request), which is what lets the driver requeue a
-// lost request on any other worker and still merge bit-identically.
+// A worker is STATEFUL between frames — kCampaignSetup installs the
+// campaign once, then any number of kRunStripe requests run against it —
+// but carries NO accumulation state: every response is a pure function of
+// (setup, request), which is what lets the driver requeue a lost stripe on
+// any other worker and still merge bit-identically.  kShutdown or EOF
+// ends the loop; any other frame, or a stripe before the setup, is
+// answered with kWorkerError and the worker exits.
 //
 // Workers are deliberately single-threaded (no ThreadPool): process-level
 // sharding is the parallelism, and keeping the worker serial makes its

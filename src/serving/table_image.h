@@ -49,7 +49,6 @@ enum class SlabType : std::uint32_t {
   kU64 = 3,
   kF16 = 4,  ///< IEEE 754 binary16, stored as uint16_t
   kU8 = 5,
-  kU32 = 6,  ///< stencil vertex indices (acasx/stencil_image.h)
 };
 
 template <typename T>
@@ -64,8 +63,6 @@ template <>
 constexpr SlabType slab_type_of<std::uint16_t>() { return SlabType::kF16; }
 template <>
 constexpr SlabType slab_type_of<std::uint8_t>() { return SlabType::kU8; }
-template <>
-constexpr SlabType slab_type_of<std::uint32_t>() { return SlabType::kU32; }
 
 /// Streaming writer: slabs are written to disk as they are added (the
 /// 329 MB joint Q is never double-buffered), the header + directory are

@@ -98,13 +98,19 @@ TEST(DistWireTest, BadMagicThrows) {
 }
 
 TEST(DistWireTest, OversizedLengthThrowsWithoutAllocating) {
+  // 16 EB must be rejected, not new[]'d; one byte over the cap is
+  // rejected the same way, on the read side and the write side.
+  for (const std::uint64_t len : {~std::uint64_t{0}, kMaxPayloadBytes + 1}) {
+    Pipe pipe;
+    std::uint32_t head[2] = {kFrameMagic, static_cast<std::uint32_t>(MsgType::kRunStripe)};
+    ASSERT_EQ(::write(pipe.w(), head, sizeof head), static_cast<ssize_t>(sizeof head));
+    ASSERT_EQ(::write(pipe.w(), &len, sizeof len), static_cast<ssize_t>(sizeof len));
+    pipe.close_write();
+    EXPECT_THROW(read_frame(pipe.r()), ProtocolError) << "length " << len;
+  }
   Pipe pipe;
-  std::uint32_t head[2] = {kFrameMagic, static_cast<std::uint32_t>(MsgType::kRunStripe)};
-  std::uint64_t len = ~std::uint64_t{0};  // 16 EB: must be rejected, not new[]'d
-  ASSERT_EQ(::write(pipe.w(), head, sizeof head), static_cast<ssize_t>(sizeof head));
-  ASSERT_EQ(::write(pipe.w(), &len, sizeof len), static_cast<ssize_t>(sizeof len));
-  pipe.close_write();
-  EXPECT_THROW(read_frame(pipe.r()), ProtocolError);
+  const std::vector<std::byte> over(kMaxPayloadBytes + 1);
+  EXPECT_THROW(write_frame(pipe.w(), MsgType::kRunStripe, over), ProtocolError);
 }
 
 // Byte-level fuzz: truncate a valid frame at every prefix length.  Every

@@ -4,7 +4,8 @@
 // a flip of any byte is caught by the XXH64 checksum (whose known answers
 // are pinned here), a crafted directory cannot point outside the file,
 // TableIoError carries a machine-checkable (op, reason, path), and
-// version-1 images and the pre-serving ACX1/JTX1 formats are rejected.
+// truncated and version-1 images and the pre-serving ACX1/JTX1 formats
+// are rejected.
 #include "serving/table_image.h"
 
 #include <gtest/gtest.h>
@@ -249,6 +250,13 @@ TEST(ServingContainerTest, EveryByteIsCoveredAndVersionOneIsRefused) {
   std::memcpy(version_one.data() + kVersionField, &one, 4);
   write_file(path, version_one);
   EXPECT_EQ(open_failure(path), "bad version");
+
+  // A cut image is refused too: short of the directory by its length,
+  // anywhere past it by the checksum.
+  write_file(path, std::vector<unsigned char>(good.begin(), good.begin() + kChecksumField + 8));
+  EXPECT_EQ(open_failure(path), "truncated");
+  write_file(path, std::vector<unsigned char>(good.begin(), good.end() - 1));
+  EXPECT_EQ(open_failure(path), "checksum mismatch");
   std::remove(path.c_str());
 }
 

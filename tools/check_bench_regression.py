@@ -82,13 +82,15 @@ def main() -> int:
         for key, base_value in sorted(base_metrics.items()):
             if not is_timing(key):
                 continue
-            floor = floors.get(key, args.min_baseline_s)
-            if base_value is None or base_value < floor:
-                skipped += 1
-                continue
+            # Presence first: a sub-floor timing is not compared, but a
+            # missing one still fails, or a renamed metric would pass.
             current = result_metrics.get(key)
             if current is None:
                 failures.append(f"{bench}.{key}: baselined timing missing from results")
+                continue
+            floor = floors.get(key, args.min_baseline_s)
+            if base_value is None or base_value < floor:
+                skipped += 1
                 continue
             compared += 1
             ratio = current / base_value
