@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -35,10 +36,6 @@ void write_json_at_exit() {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - bench_start).count();
   std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", json_path.c_str());
-    return;
-  }
   out << "{\n  \"bench\": \"" << json_escape(bench_name) << "\",\n"
       << "  \"smoke\": " << (smoke() ? "true" : "false") << ",\n"
       << "  \"wall_s\": " << wall_s << ",\n  \"metrics\": {";
@@ -47,6 +44,14 @@ void write_json_at_exit() {
         << "\": " << metrics[i].second;
   }
   out << (metrics.empty() ? "" : "\n  ") << "}\n}\n";
+  out.close();
+  if (!out) {
+    // A bench whose result is lost has failed: exit non-zero.  exit() may
+    // not be called again from an atexit handler, so flush and _Exit.
+    std::fprintf(stderr, "[bench] cannot write %s\n", json_path.c_str());
+    std::fflush(nullptr);
+    std::_Exit(EXIT_FAILURE);
+  }
 }
 
 }  // namespace

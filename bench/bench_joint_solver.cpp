@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
 
   // One-shot joint solve: serial vs pooled.
   {
-    acasx::JointSolveStats stats;
+    acasx::SolveStats stats;
     acasx::solve_joint_table(joint_config, nullptr, &stats);
     std::printf("joint one-shot (serial):      %8.3f s  (stencils %.3f s, %zu entries)\n",
                 stats.wall_seconds, stats.stencil_build_seconds, stats.stencil_entries);
     bench::record_metric("e13.joint.oneshot_serial_s", stats.wall_seconds);
   }
-  acasx::JointSolveStats pooled_stats;
+  acasx::SolveStats pooled_stats;
   acasx::solve_joint_table(joint_config, &bench::pool(), &pooled_stats);
   std::printf("joint one-shot (pooled):      %8.3f s  (stencils %.3f s)\n",
               pooled_stats.wall_seconds, pooled_stats.stencil_build_seconds);
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   double revise_total = 0.0;
   for (int r = 0; r < revisions; ++r) {
     costs.maneuver_cost *= 1.1;  // a §III-style preference re-tune
-    acasx::JointSolveStats stats;
+    acasx::SolveStats stats;
     solver.solve(costs, &bench::pool(), &stats);
     revise_total += stats.wall_seconds;
   }

@@ -1,6 +1,6 @@
 // Offline generation of the joint-threat logic table (joint_table.h) by
-// dynamic programming — the PR 1 stencil machinery lifted to the 4-D joint
-// grid.
+// dynamic programming — the pairwise solver's stencil DP
+// (acasx/stencil_set.h) run on the 4-D joint grid.
 //
 // The recursion is layered on tau-to-the-SECONDARY's-CPA and runs once per
 // (delta bin, sense class) slab, since neither changes mid-episode:
@@ -12,19 +12,22 @@
 //   V(t, s)   = min_a Q(t, s, a)
 //
 // The joint successor scatters (h1', dh_own', dh_int1', h2') onto the 4-D
-// grid with multilinear weights; h2 evolves deterministically at the
-// slab's representative sense rate, so the successor stencil of each
-// (grid point, action) depends on the sense class but not on tau or the
-// delta bin.  The solver therefore precompiles ONE stencil set per sense
-// class (shared StencilSet layout, acasx/stencil_set.h) and reuses it
-// across every delta bin and tau layer — and, like CompiledAcasModel,
-// across COST REVISIONS: JointOfflineSolver keeps the stencils and
-// re-solves per CostModel bit-identically (the PR 2 refresh_costs path,
-// so revision loops never pay the stencil build twice).
+// grid with multilinear weights: (h1', dh_own', dh_int1') is the pairwise
+// successor walk (acasx/dynamics.h), and h2 evolves deterministically at
+// the slab's representative sense rate.  The successor stencil of each
+// (grid point, action) therefore depends on the sense class but not on
+// tau or the delta bin, so the solver compiles ONE stencil set per sense
+// class with the pairwise solver's stencil compiler and reuses it across
+// every delta bin and tau layer — and, like CompiledAcasModel, across
+// COST REVISIONS: JointOfflineSolver keeps the stencils and re-solves per
+// CostModel bit-identically, so revision loops never pay the stencil
+// build twice.
 //
 // Slabs are mutually independent (each starts its own terminal layer), so
-// the whole-table solve is a loop over slabs, each written straight into
-// its contiguous slice of the table.
+// the whole-table solve is a loop over slabs, each running the shared
+// induction loop straight into its contiguous slice of the table.  The
+// joint solver adds only the 4-D successor, the two NMAC charges and that
+// slab loop.
 #pragma once
 
 #include <array>
@@ -48,15 +51,6 @@ struct JointStencilSets {
   }
 };
 
-struct JointSolveStats {
-  std::size_t states_per_layer = 0;    ///< grid4 x advisory-memory states
-  std::size_t layers = 0;              ///< tau layers per slab
-  std::size_t slabs = 0;               ///< (delta bin, sense class) slabs
-  double wall_seconds = 0.0;           ///< total solve wall time
-  std::size_t stencil_entries = 0;     ///< (vertex, weight) pairs, all sense sets
-  double stencil_build_seconds = 0.0;  ///< time spent precompiling stencils
-};
-
 /// Compile-once / solve-per-revision joint solver.  The stencils depend
 /// only on the state-space discretization, the dynamics model, and the
 /// secondary abstraction — NOT on the cost model — so every solve(costs)
@@ -74,10 +68,10 @@ class JointOfflineSolver {
   /// (cost-only revision: space, abstraction, and dynamics stay as
   /// compiled).  The returned table's config() carries the revised costs.
   JointLogicTable solve(const CostModel& costs, ThreadPool* pool = nullptr,
-                        JointSolveStats* stats = nullptr) const;
+                        SolveStats* stats = nullptr) const;
 
   /// Solve with the cost model the structure was compiled with.
-  JointLogicTable solve(ThreadPool* pool = nullptr, JointSolveStats* stats = nullptr) const;
+  JointLogicTable solve(ThreadPool* pool = nullptr, SolveStats* stats = nullptr) const;
 
   const JointConfig& config() const { return config_; }
   std::size_t stencil_entries() const { return stencils_.num_entries(); }
@@ -89,8 +83,10 @@ class JointOfflineSolver {
   double build_seconds_ = 0.0;
 };
 
-/// One-shot convenience: compile the stencils and solve once.
+/// One-shot convenience: compile the stencils and solve once.  The
+/// stencils are freed, and their pages handed back to the OS, before the
+/// table is returned.
 JointLogicTable solve_joint_table(const JointConfig& config, ThreadPool* pool = nullptr,
-                                  JointSolveStats* stats = nullptr);
+                                  SolveStats* stats = nullptr);
 
 }  // namespace cav::acasx

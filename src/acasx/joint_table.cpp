@@ -1,8 +1,7 @@
 #include "acasx/joint_table.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "serving/kernel.h"
 #include "serving/table_codec.h"
@@ -11,80 +10,23 @@
 #include "util/units.h"
 
 namespace cav::acasx {
-namespace {
 
-using serving::TableIoError;
-
-// meta_f64 layout: 4 axes x (lo, hi), secondary x 3, dynamics x 4, costs x 8.
-constexpr std::size_t kMetaF64Count = 4 * 2 + 3 + 4 + 8;
-// meta_u64 layout: 4 axis counts, tau_max, num_delta_bins.
-constexpr std::size_t kMetaU64Count = 4 + 2;
-
-void encode_meta(const JointConfig& c, double* f64, std::uint64_t* u64) {
-  const UniformAxis* axes[4] = {&c.space.h_ft, &c.space.dh_own_fps, &c.space.dh_int_fps,
-                                &c.secondary.h2_ft};
-  for (std::size_t i = 0; i < 4; ++i) {
-    f64[2 * i] = axes[i]->lo();
-    f64[2 * i + 1] = axes[i]->hi();
-    u64[i] = axes[i]->count();
-  }
-  u64[4] = c.space.tau_max;
-  u64[5] = c.secondary.num_delta_bins;
-  double* s = f64 + 8;
-  s[0] = c.secondary.delta_step_s;
-  s[1] = c.secondary.sense_rate_fps;
-  s[2] = c.secondary.sense_level_threshold_fps;
-  double* d = f64 + 11;
-  d[0] = c.dynamics.dt_s;
-  d[1] = c.dynamics.accel_initial_fps2;
-  d[2] = c.dynamics.accel_strength_fps2;
-  d[3] = c.dynamics.accel_noise_sigma_fps2;
-  double* k = f64 + 15;
-  k[0] = c.costs.nmac_cost;
-  k[1] = c.costs.nmac_h_ft;
-  k[2] = c.costs.maneuver_cost;
-  k[3] = c.costs.strengthened_maneuver_cost;
-  k[4] = c.costs.level_reward;
-  k[5] = c.costs.strengthen_cost;
-  k[6] = c.costs.reversal_cost;
-  k[7] = c.costs.termination_cost;
-}
-
-JointConfig decode_meta(const serving::TableImage& image) {
-  const auto f64 = image.slab_as<double>(serving::kSlabMetaF64);
-  const auto u64 = image.slab_as<std::uint64_t>(serving::kSlabMetaU64);
-  if (f64.size() != kMetaF64Count || u64.size() != kMetaU64Count) {
-    throw TableIoError("JointLogicTable::load", "bad meta slab", image.path());
-  }
-  JointConfig c;
-  c.space.h_ft = UniformAxis(f64[0], f64[1], static_cast<std::size_t>(u64[0]));
-  c.space.dh_own_fps = UniformAxis(f64[2], f64[3], static_cast<std::size_t>(u64[1]));
-  c.space.dh_int_fps = UniformAxis(f64[4], f64[5], static_cast<std::size_t>(u64[2]));
-  c.secondary.h2_ft = UniformAxis(f64[6], f64[7], static_cast<std::size_t>(u64[3]));
-  c.space.tau_max = static_cast<std::size_t>(u64[4]);
-  c.secondary.num_delta_bins = static_cast<std::size_t>(u64[5]);
-  c.secondary.delta_step_s = f64[8];
-  c.secondary.sense_rate_fps = f64[9];
-  c.secondary.sense_level_threshold_fps = f64[10];
-  c.dynamics.dt_s = f64[11];
-  c.dynamics.accel_initial_fps2 = f64[12];
-  c.dynamics.accel_strength_fps2 = f64[13];
-  c.dynamics.accel_noise_sigma_fps2 = f64[14];
-  c.costs.nmac_cost = f64[15];
-  c.costs.nmac_h_ft = f64[16];
-  c.costs.maneuver_cost = f64[17];
-  c.costs.strengthened_maneuver_cost = f64[18];
-  c.costs.level_reward = f64[19];
-  c.costs.strengthen_cost = f64[20];
-  c.costs.reversal_cost = f64[21];
-  c.costs.termination_cost = f64[22];
-  return c;
-}
-
-}  // namespace
-
+// meta_f64: 4 axes x (lo, hi), secondary x 3, dynamics x 4, costs x 8.
+// meta_u64: 4 axis counts, tau_max, num_delta_bins.
 JointConfig JointLogicTable::decode_config(const serving::TableImage& image) {
-  return decode_meta(image);
+  MetaReader meta(image, 4 * 2 + 3 + kModelMetaF64, 4 + 2, "JointLogicTable::load");
+  JointConfig c;
+  c.space.h_ft = meta.axis();
+  c.space.dh_own_fps = meta.axis();
+  c.space.dh_int_fps = meta.axis();
+  c.secondary.h2_ft = meta.axis();
+  c.space.tau_max = static_cast<std::size_t>(meta.u64());
+  c.secondary.num_delta_bins = static_cast<std::size_t>(meta.u64());
+  c.secondary.delta_step_s = meta.f64();
+  c.secondary.sense_rate_fps = meta.f64();
+  c.secondary.sense_level_threshold_fps = meta.f64();
+  meta.model(c.dynamics, c.costs);
+  return c;
 }
 
 JointConfig JointConfig::coarse() {
@@ -104,10 +46,14 @@ JointConfig JointConfig::standard() {
 }
 
 JointLogicTable::JointLogicTable(const JointConfig& config)
-    : config_(config), grid_(config.grid()) {
-  const std::size_t n = config_.secondary.num_slabs() * num_tau_layers() * grid_.size() *
-                        kNumAdvisories * kNumAdvisories;
-  q_.assign(n, 0.0F);
+    : JointLogicTable(config, QStore(entry_count(config))) {}
+
+JointLogicTable::JointLogicTable(const JointConfig& config, QStore store)
+    : config_(config), grid_(config.grid()), store_(std::move(store)) {}
+
+std::size_t JointLogicTable::entry_count(const JointConfig& config) {
+  return config.secondary.num_slabs() * (config.space.tau_max + 1) * config.grid().size() *
+         kNumAdvisories * kNumAdvisories;
 }
 
 void JointLogicTable::action_costs(double tau1_s, double delta_s, double h1_ft,
@@ -132,44 +78,29 @@ void JointLogicTable::action_costs(double tau1_s, double delta_s, double h1_ft,
                                       out.data());
 }
 
-std::vector<float>& JointLogicTable::raw() {
-  expect(view_ == nullptr, "owning table (mapped views are read-only)");
-  return q_;
-}
-
-const std::vector<float>& JointLogicTable::raw() const {
-  expect(view_ == nullptr, "owning table (mapped views have no vector)");
-  return q_;
-}
-
-void JointLogicTable::encode_config(const JointConfig& config,
-                                    serving::TableImageWriter& writer) {
-  double meta_f64[kMetaF64Count];
-  std::uint64_t meta_u64[kMetaU64Count];
-  encode_meta(config, meta_f64, meta_u64);
-  writer.add_slab(serving::kSlabMetaF64, serving::SlabType::kF64, meta_f64, sizeof meta_f64);
-  writer.add_slab(serving::kSlabMetaU64, serving::SlabType::kU64, meta_u64, sizeof meta_u64);
-}
-
 void JointLogicTable::save(const std::string& path, serving::Quantization quant) const {
   serving::TableImageWriter writer(path, serving::kKindJoint);
-  encode_config(config_, writer);
+  MetaWriter meta;
+  meta.axis(config_.space.h_ft);
+  meta.axis(config_.space.dh_own_fps);
+  meta.axis(config_.space.dh_int_fps);
+  meta.axis(config_.secondary.h2_ft);
+  meta.u64(config_.space.tau_max);
+  meta.u64(config_.secondary.num_delta_bins);
+  meta.f64(config_.secondary.delta_step_s);
+  meta.f64(config_.secondary.sense_rate_fps);
+  meta.f64(config_.secondary.sense_level_threshold_fps);
+  meta.model(config_.dynamics, config_.costs);
+  meta.write(writer);
   serving::write_value_slabs(writer, {values(), num_entries()}, quant);
   writer.finish();
 }
 
 JointLogicTable JointLogicTable::load(const std::string& path) {
-  serving::TableImage image = serving::TableImage::open(path);
-  if (image.kind_name() != serving::kKindJoint) {
-    throw TableIoError("JointLogicTable::load", "wrong table kind", path);
-  }
-  JointLogicTable table(decode_meta(image));
-  const serving::ValueSlabs values = serving::open_value_slabs(image);
-  if (values.count != table.q_.size()) {
-    throw TableIoError("JointLogicTable::load", "size mismatch", path);
-  }
-  table.q_ = serving::dequantize_values(values);
-  return table;
+  const serving::TableImage image = serving::TableImage::open(path);
+  QStore::expect_kind(image, serving::kKindJoint, "JointLogicTable::load");
+  const JointConfig config = decode_config(image);
+  return {config, QStore::copy_of(image, entry_count(config), "JointLogicTable::load")};
 }
 
 JointLogicTable JointLogicTable::open_mapped(const std::string& path) {
@@ -178,27 +109,10 @@ JointLogicTable JointLogicTable::open_mapped(const std::string& path) {
 }
 
 JointLogicTable JointLogicTable::open_mapped(std::shared_ptr<const serving::TableImage> image) {
-  const std::string& path = image->path();
-  if (image->kind_name() != serving::kKindJoint) {
-    throw TableIoError("JointLogicTable::open_mapped", "wrong table kind", path);
-  }
-  const serving::ValueSlabs values = serving::open_value_slabs(*image);
-  if (values.quant != serving::Quantization::kNone) {
-    throw TableIoError("JointLogicTable::open_mapped", "quantized image (use load())", path);
-  }
-
-  JointLogicTable table;
-  table.config_ = decode_meta(*image);
-  table.grid_ = table.config_.grid();
-  const std::size_t expected = table.num_slabs() * table.num_tau_layers() * table.grid_.size() *
-                               kNumAdvisories * kNumAdvisories;
-  if (values.count != expected) {
-    throw TableIoError("JointLogicTable::open_mapped", "size mismatch", path);
-  }
-  table.view_ = values.f32;
-  table.view_size_ = values.count;
-  table.image_ = std::move(image);
-  return table;
+  QStore::expect_kind(*image, serving::kKindJoint, "JointLogicTable::open_mapped");
+  const JointConfig config = decode_config(*image);
+  return {config, QStore::view_of(std::move(image), entry_count(config),
+                                  "JointLogicTable::open_mapped")};
 }
 
 void joint_action_costs(const JointLogicTable& table, const AircraftTrack& own,

@@ -25,13 +25,15 @@
 //
 // Each (delta bin, sense class) pair is one independent SLAB: neither
 // changes during an encounter under the model, so the solver runs one
-// 4-D tau recursion per slab (see mdp/joint_state.h for the indexing
-// convention).  Layout: q[slab][tau][grid4][ra][action], action fastest.
+// 4-D tau recursion per slab.  Slab index = delta_bin *
+// kNumSecondarySenses + sense (JointConfig::slab_index).  Layout:
+// q[slab][tau][grid4][ra][action], action fastest.
 //
-// Storage mirrors LogicTable: owning (solved / load()ed) or a zero-copy
-// view over an mmap-backed serving::TableImage (open_mapped()) — at
-// standard size the ~330 MB payload is the strongest case for sharing
-// one physical copy across processes.
+// Storage shares LogicTable's acasx::QStore (acasx/q_store.h): owning
+// (solved / load()ed) or a zero-copy view over an mmap-backed
+// serving::TableImage (open_mapped()) — at standard size the ~330 MB
+// payload is the strongest case for sharing one physical copy across
+// processes.
 #pragma once
 
 #include <array>
@@ -45,14 +47,9 @@
 #include "acasx/advisory.h"
 #include "acasx/config.h"
 #include "acasx/online_logic.h"
-#include "mdp/joint_state.h"
+#include "acasx/q_store.h"
 #include "serving/quantize.h"
 #include "util/grid.h"
-
-namespace cav::serving {
-class TableImage;
-class TableImageWriter;
-}
 
 namespace cav::acasx {
 
@@ -128,11 +125,8 @@ struct JointConfig {
   }
 
   /// Slab index convention: (delta bin, sense class), delta slowest.
-  mdp::JointStateIndexer slabs() const {
-    return mdp::JointStateIndexer({secondary.num_delta_bins, kNumSecondarySenses});
-  }
   std::size_t slab_index(std::size_t delta_bin, SecondarySense sense) const {
-    return slabs().flat({delta_bin, static_cast<std::size_t>(sense)});
+    return delta_bin * kNumSecondarySenses + static_cast<std::size_t>(sense);
   }
 
   /// Test-size preset (fast to solve, same code paths as standard;
@@ -158,7 +152,7 @@ class JointLogicTable {
   std::size_t num_tau_layers() const { return config_.space.tau_max + 1; }
   std::size_t num_grid_points() const { return grid_.size(); }
   /// Total stored Q entries (slabs x tau layers x grid x ra x action).
-  std::size_t num_entries() const { return view_ != nullptr ? view_size_ : q_.size(); }
+  std::size_t num_entries() const { return store_.size(); }
 
   /// Flat index of (slab, tau, grid point, ra, action), action fastest.
   std::size_t index(std::size_t slab, std::size_t tau, std::size_t grid_flat, Advisory ra,
@@ -171,11 +165,6 @@ class JointLogicTable {
   float at(std::size_t slab, std::size_t tau, std::size_t grid_flat, Advisory ra,
            Advisory action) const {
     return values()[index(slab, tau, grid_flat, ra, action)];
-  }
-  /// Mutable access — owning tables only (the solver's write path).
-  float& at(std::size_t slab, std::size_t tau, std::size_t grid_flat, Advisory ra,
-            Advisory action) {
-    return q_[index(slab, tau, grid_flat, ra, action)];
   }
 
   /// Interpolated per-action costs at a continuous joint state.  `tau1_s`
@@ -216,34 +205,30 @@ class JointLogicTable {
   static JointLogicTable open_mapped(const std::string& path);
   static JointLogicTable open_mapped(std::shared_ptr<const serving::TableImage> image);
 
+  /// Q entries a table of `config` stores (an image's value count).
+  static std::size_t entry_count(const JointConfig& config);
+
   /// True when this table is an mmap view (no owned payload).
-  bool is_mapped() const { return view_ != nullptr; }
+  bool is_mapped() const { return store_.is_mapped(); }
 
   /// Decode the config metadata of a "JNT2" image without touching its
   /// value payload — how PolicyServer serves quantized images directly.
   static JointConfig decode_config(const serving::TableImage& image);
 
   /// The value payload, owning or mapped — the serving kernel's view.
-  const float* values() const { return view_ != nullptr ? view_ : q_.data(); }
+  const float* values() const { return store_.values(); }
 
   /// Direct access for the solver (owning tables only; throws on a
   /// mapped view).
-  std::vector<float>& raw();
-  const std::vector<float>& raw() const;
+  std::vector<float>& raw() { return store_.raw(); }
+  const std::vector<float>& raw() const { return store_.raw(); }
 
  private:
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — save()'s
-  /// half of the JointConfig codec that decode_config reads back.
-  static void encode_config(const JointConfig& config, serving::TableImageWriter& writer);
+  JointLogicTable(const JointConfig& config, QStore store);
 
   JointConfig config_;
   GridN<4> grid_;
-  std::vector<float> q_;
-  // Set only on mapped tables: the view pointer targets image_'s mapping,
-  // so default copy/move keep it valid (the image is shared).
-  const float* view_ = nullptr;
-  std::size_t view_size_ = 0;
-  std::shared_ptr<const serving::TableImage> image_;
+  QStore store_;
 };
 
 /// Online joint query from surveillance tracks — the joint analogue of

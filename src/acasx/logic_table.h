@@ -5,16 +5,17 @@
 // Layout: q[tau][h][dh_own][dh_int][ra][action], row-major with action
 // fastest.  Values are float to keep the standard table ~38 MB.
 //
-// Storage: a table either OWNS its values (solved in memory, or load()ed
-// with a copy/dequantization) or is a zero-copy VIEW over an mmap-backed
-// serving::TableImage (open_mapped()), in which case N processes opening
-// the same image share one physical copy of the payload.  Every query
-// goes through values(); the two modes are indistinguishable to callers.
+// Storage: one acasx::QStore (acasx/q_store.h), shared with
+// JointLogicTable.  A table either OWNS its values (solved in memory, or
+// load()ed with a copy/dequantization) or is a zero-copy VIEW over an
+// mmap-backed serving::TableImage (open_mapped()), in which case N
+// processes opening the same image share one physical copy of the
+// payload.  Every query goes through values(); the two modes are
+// indistinguishable to callers.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,13 +23,9 @@
 
 #include "acasx/advisory.h"
 #include "acasx/config.h"
+#include "acasx/q_store.h"
 #include "serving/quantize.h"
 #include "util/grid.h"
-
-namespace cav::serving {
-class TableImage;
-class TableImageWriter;
-}
 
 namespace cav::acasx {
 
@@ -43,7 +40,7 @@ class LogicTable {
   std::size_t num_tau_layers() const { return config_.space.tau_max + 1; }
   std::size_t num_grid_points() const { return grid_.size(); }
   /// Total stored Q entries (tau layers x grid x ra x action).
-  std::size_t num_entries() const { return view_ != nullptr ? view_size_ : q_.size(); }
+  std::size_t num_entries() const { return store_.size(); }
 
   /// Flat index of (tau, grid point, ra, action).
   std::size_t index(std::size_t tau, std::size_t grid_flat, Advisory ra, Advisory action) const {
@@ -54,10 +51,6 @@ class LogicTable {
 
   float at(std::size_t tau, std::size_t grid_flat, Advisory ra, Advisory action) const {
     return values()[index(tau, grid_flat, ra, action)];
-  }
-  /// Mutable access — owning tables only (the solver's write path).
-  float& at(std::size_t tau, std::size_t grid_flat, Advisory ra, Advisory action) {
-    return q_[index(tau, grid_flat, ra, action)];
   }
 
   /// Interpolated per-action costs at a continuous state.  tau_s is clamped
@@ -96,34 +89,30 @@ class LogicTable {
   static LogicTable open_mapped(const std::string& path);
   static LogicTable open_mapped(std::shared_ptr<const serving::TableImage> image);
 
+  /// Q entries a table of `config` stores (an image's value count).
+  static std::size_t entry_count(const AcasXuConfig& config);
+
   /// True when this table is an mmap view (no owned payload).
-  bool is_mapped() const { return view_ != nullptr; }
+  bool is_mapped() const { return store_.is_mapped(); }
 
   /// Decode the config metadata of a "PAIR" image without touching its
   /// value payload — how PolicyServer serves quantized images directly.
   static AcasXuConfig decode_config(const serving::TableImage& image);
 
   /// The value payload, owning or mapped — the serving kernel's view.
-  const float* values() const { return view_ != nullptr ? view_ : q_.data(); }
+  const float* values() const { return store_.values(); }
 
   /// Direct access for the solver (owning tables only; throws on a
   /// mapped view).
-  std::vector<float>& raw();
-  const std::vector<float>& raw() const;
+  std::vector<float>& raw() { return store_.raw(); }
+  const std::vector<float>& raw() const { return store_.raw(); }
 
  private:
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — save()'s
-  /// half of the AcasXuConfig codec that decode_config reads back.
-  static void encode_config(const AcasXuConfig& config, serving::TableImageWriter& writer);
+  LogicTable(const AcasXuConfig& config, QStore store);
 
   AcasXuConfig config_;
   GridN<3> grid_;
-  std::vector<float> q_;
-  // Set only on mapped tables: the view pointer targets image_'s mapping,
-  // so default copy/move keep it valid (the image is shared).
-  const float* view_ = nullptr;
-  std::size_t view_size_ = 0;
-  std::shared_ptr<const serving::TableImage> image_;
+  QStore store_;
 };
 
 }  // namespace cav::acasx

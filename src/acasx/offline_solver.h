@@ -15,12 +15,14 @@
 //
 // The successor stencil of each (grid point, action) — which vertices of
 // the next layer receive probability mass, and with what weight — does not
-// depend on tau, so the default solver PRECOMPILES all stencils once
-// (noise pairs and interpolation weights folded together; acasx/
-// stencil_set.h) and reduces each layer's expected-value computation to a
-// sparse dot product over the previous layer, parallelized across grid
-// points.  SolverMode::kReference keeps the original per-layer
-// recomputation as a cross-check.
+// depend on tau, so the default solver PRECOMPILES all stencils once and
+// reduces each layer's expected-value computation to a sparse dot product
+// over the previous layer, parallelized across grid points.  The stencil
+// compiler, that layer sweep and the induction loop are the ones the
+// joint solver runs too (acasx/stencil_set.h); the pairwise solver adds
+// only its successor walk (acasx/dynamics.h) and its terminal layer.
+// SolverMode::kReference keeps the original per-layer recomputation as
+// the oracle the stencil path is checked against.
 //
 // This is the paper's "Optimization" box in Fig. 1 (MDP model -> logic
 // table); footnote 2 reports <5 min on a laptop for the real model — the
@@ -35,14 +37,6 @@
 
 namespace cav::acasx {
 
-struct SolveStats {
-  std::size_t states_per_layer = 0;
-  std::size_t layers = 0;
-  double wall_seconds = 0.0;
-  std::size_t stencil_entries = 0;     ///< total (vertex, weight) pairs precompiled
-  double stencil_build_seconds = 0.0;  ///< time spent precompiling stencils
-};
-
 enum class SolverMode {
   kPrecompiledStencils,  ///< default: stencils built once, sparse-dot sweeps
   kReference,            ///< original path: scatter recomputed every layer
@@ -52,7 +46,8 @@ enum class SolverMode {
 /// each tau layer over `pool` when provided.  Both modes, with or without
 /// a pool, produce bit-identical tables: the stencils preserve the
 /// reference kernel's two-level accumulation order, and each grid point's
-/// writes are independent of sweep scheduling.
+/// writes are independent of sweep scheduling.  The stencils are freed,
+/// and their pages handed back to the OS, before the table is returned.
 LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool = nullptr,
                              SolveStats* stats = nullptr,
                              SolverMode mode = SolverMode::kPrecompiledStencils);

@@ -57,22 +57,8 @@ sim::SimResult EncounterEvaluator::run_once(const encounter::EncounterParams& pa
   return sim::run_encounter(sim_config, std::move(own), std::move(intruder), run_seed);
 }
 
-std::vector<FitnessRunOutcome> EncounterEvaluator::evaluate_runs(
-    const encounter::EncounterParams& params, std::uint64_t stream_id, std::size_t begin,
-    std::size_t end) const {
-  expect(begin <= end && end <= config_.runs_per_encounter, "run range inside the encounter");
-  std::vector<FitnessRunOutcome> outcomes;
-  outcomes.reserve(end - begin);
-  for (std::size_t k = begin; k < end; ++k) {
-    const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
-    outcomes.push_back({result.miss_distance_m(), result.nmac, result.agents[0].ever_alerted,
-                        result.wall_time_s});
-  }
-  return outcomes;
-}
-
-EncounterEvaluation EncounterEvaluator::merge(std::span<const FitnessRunOutcome> outcomes) const {
-  expect(outcomes.size() == config_.runs_per_encounter, "outcomes cover every run");
+EncounterEvaluation EncounterEvaluator::evaluate(const encounter::EncounterParams& params,
+                                                 std::uint64_t stream_id) const {
   EncounterEvaluation eval;
   eval.runs = config_.runs_per_encounter;
   eval.min_miss_m = std::numeric_limits<double>::infinity();
@@ -81,14 +67,15 @@ EncounterEvaluation EncounterEvaluator::merge(std::span<const FitnessRunOutcome>
   double miss_sum = 0.0;
   std::size_t own_alerts = 0;
 
-  for (const FitnessRunOutcome& run : outcomes) {
-    const double d_k = run.miss_m;
+  for (std::size_t k = 0; k < config_.runs_per_encounter; ++k) {
+    const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
+    const double d_k = result.miss_distance_m();
     gain_sum += config_.gain_max / (1.0 + d_k);
     miss_sum += d_k;
     eval.min_miss_m = std::min(eval.min_miss_m, d_k);
-    if (run.nmac) ++eval.nmac_count;
-    if (run.own_alert) ++own_alerts;
-    eval.wall_s += run.wall_s;
+    if (result.nmac) ++eval.nmac_count;
+    if (result.agents[0].ever_alerted) ++own_alerts;
+    eval.wall_s += result.wall_time_s;
   }
 
   const auto n = static_cast<double>(config_.runs_per_encounter);
@@ -96,13 +83,6 @@ EncounterEvaluation EncounterEvaluator::merge(std::span<const FitnessRunOutcome>
   eval.mean_miss_m = miss_sum / n;
   eval.alert_fraction_own = static_cast<double>(own_alerts) / n;
   return eval;
-}
-
-EncounterEvaluation EncounterEvaluator::evaluate(const encounter::EncounterParams& params,
-                                                 std::uint64_t stream_id) const {
-  // The single-stripe form of the work-unit surface: one flat run range,
-  // merged in run order — the historical loop, bit-identically.
-  return merge(evaluate_runs(params, stream_id, 0, config_.runs_per_encounter));
 }
 
 MultiEncounterEvaluator::MultiEncounterEvaluator(FitnessConfig config, sim::CasFactory own_cas,
@@ -140,23 +120,8 @@ sim::SimResult MultiEncounterEvaluator::run_once(const encounter::MultiEncounter
   return sim::run_multi_encounter(sim_config, std::move(agents), run_seed);
 }
 
-std::vector<FitnessRunOutcome> MultiEncounterEvaluator::evaluate_runs(
-    const encounter::MultiEncounterParams& params, std::uint64_t stream_id, std::size_t begin,
-    std::size_t end) const {
-  expect(begin <= end && end <= config_.runs_per_encounter, "run range inside the encounter");
-  std::vector<FitnessRunOutcome> outcomes;
-  outcomes.reserve(end - begin);
-  for (std::size_t k = begin; k < end; ++k) {
-    const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
-    outcomes.push_back({result.own_miss_distance_m(), result.own_nmac(),
-                        result.agents[0].ever_alerted, result.wall_time_s});
-  }
-  return outcomes;
-}
-
-MultiEncounterEvaluation MultiEncounterEvaluator::merge(
-    std::span<const FitnessRunOutcome> outcomes) const {
-  expect(outcomes.size() == config_.runs_per_encounter, "outcomes cover every run");
+MultiEncounterEvaluation MultiEncounterEvaluator::evaluate(
+    const encounter::MultiEncounterParams& params, std::uint64_t stream_id) const {
   MultiEncounterEvaluation eval;
   eval.runs = config_.runs_per_encounter;
   eval.min_miss_m = std::numeric_limits<double>::infinity();
@@ -165,14 +130,15 @@ MultiEncounterEvaluation MultiEncounterEvaluator::merge(
   double miss_sum = 0.0;
   std::size_t own_alerts = 0;
 
-  for (const FitnessRunOutcome& run : outcomes) {
-    const double d_k = run.miss_m;
+  for (std::size_t k = 0; k < config_.runs_per_encounter; ++k) {
+    const sim::SimResult result = run_once(params, stream_id, k, /*record_trajectory=*/false);
+    const double d_k = result.own_miss_distance_m();
     gain_sum += config_.gain_max / (1.0 + d_k);
     miss_sum += d_k;
     eval.min_miss_m = std::min(eval.min_miss_m, d_k);
-    if (run.nmac) ++eval.own_nmac_count;
-    if (run.own_alert) ++own_alerts;
-    eval.wall_s += run.wall_s;
+    if (result.own_nmac()) ++eval.own_nmac_count;
+    if (result.agents[0].ever_alerted) ++own_alerts;
+    eval.wall_s += result.wall_time_s;
   }
 
   const auto n = static_cast<double>(config_.runs_per_encounter);
@@ -180,11 +146,6 @@ MultiEncounterEvaluation MultiEncounterEvaluator::merge(
   eval.mean_miss_m = miss_sum / n;
   eval.alert_fraction_own = static_cast<double>(own_alerts) / n;
   return eval;
-}
-
-MultiEncounterEvaluation MultiEncounterEvaluator::evaluate(
-    const encounter::MultiEncounterParams& params, std::uint64_t stream_id) const {
-  return merge(evaluate_runs(params, stream_id, 0, config_.runs_per_encounter));
 }
 
 }  // namespace cav::core

@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "encounter/encounter.h"
 #include "encounter/multi_encounter.h"
@@ -63,18 +61,6 @@ struct EncounterEvaluation {
   }
 };
 
-/// One run's raw outcome — the canonical work-unit cell of the fitness
-/// surface, mirroring core::ValidationCampaign's per-cell partials
-/// (validation_campaign.h).  Evaluations are reconstructed from per-run
-/// outcomes in run order, so any partition of the run range into stripes
-/// merges bit-identically to the flat loop.
-struct FitnessRunOutcome {
-  double miss_m = 0.0;   ///< d_k: 0 on NMAC, else min separation
-  bool nmac = false;     ///< (own-ship NMAC for the multi evaluator)
-  bool own_alert = false;
-  double wall_s = 0.0;   ///< host timing; not deterministic
-};
-
 /// Evaluates encounters by repeated stochastic simulation.  Thread-safe:
 /// evaluate() is const and every run derives its own RNG streams from
 /// (seed, stream_id, run_index).
@@ -83,24 +69,10 @@ class EncounterEvaluator {
   EncounterEvaluator(FitnessConfig config, sim::CasFactory own_cas, sim::CasFactory intruder_cas);
 
   /// `stream_id` distinguishes evaluations (the GA passes its evaluation
-  /// index); identical (params, stream_id) give identical results.
-  /// Equivalent to merge(evaluate_runs(params, stream_id, 0, runs)) —
-  /// the single-stripe form of the work-unit surface below.
+  /// index); identical (params, stream_id) give identical results.  Runs
+  /// are simulated and accumulated in run order.
   EncounterEvaluation evaluate(const encounter::EncounterParams& params,
                                std::uint64_t stream_id) const;
-
-  /// Work-unit surface: evaluate runs [begin, end) of this encounter (a
-  /// fitness stripe).  Each run's outcome depends only on (seed,
-  /// stream_id, run index), so stripes are placement-independent.
-  std::vector<FitnessRunOutcome> evaluate_runs(const encounter::EncounterParams& params,
-                                               std::uint64_t stream_id, std::size_t begin,
-                                               std::size_t end) const;
-
-  /// Merge per-run outcomes (concatenated in run order, covering all
-  /// config().runs_per_encounter runs) into the evaluation.  The
-  /// accumulation walks runs in order — bit-identical to the flat
-  /// evaluate() loop for any striping.
-  EncounterEvaluation merge(std::span<const FitnessRunOutcome> outcomes) const;
 
   /// One fully instrumented run (trajectory recorded) for inspection.
   sim::SimResult run_once(const encounter::EncounterParams& params, std::uint64_t stream_id,
@@ -141,16 +113,10 @@ class MultiEncounterEvaluator {
   MultiEncounterEvaluator(FitnessConfig config, sim::CasFactory own_cas,
                           sim::CasFactory intruder_cas);
 
-  /// Equivalent to merge(evaluate_runs(params, stream_id, 0, runs)).
+  /// Runs are simulated and accumulated in run order, as in
+  /// EncounterEvaluator::evaluate.
   MultiEncounterEvaluation evaluate(const encounter::MultiEncounterParams& params,
                                     std::uint64_t stream_id) const;
-
-  /// Work-unit surface, mirroring EncounterEvaluator: per-run outcomes
-  /// for runs [begin, end), and the order-preserving merge.
-  std::vector<FitnessRunOutcome> evaluate_runs(const encounter::MultiEncounterParams& params,
-                                               std::uint64_t stream_id, std::size_t begin,
-                                               std::size_t end) const;
-  MultiEncounterEvaluation merge(std::span<const FitnessRunOutcome> outcomes) const;
 
   /// One fully instrumented run (trajectory recorded) for inspection.
   sim::SimResult run_once(const encounter::MultiEncounterParams& params,

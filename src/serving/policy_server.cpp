@@ -117,9 +117,7 @@ PolicyServer PolicyServer::open(const std::string& pairwise_path,
   } else {
     server.pair_config_ = acasx::LogicTable::decode_config(*pair_image);
     server.pair_grid_ = server.pair_config_.space.grid();
-    const std::size_t expected =
-        (server.pair_config_.space.tau_max + 1) * server.pair_grid_.size() * kA * kA;
-    if (pair_slabs.count != expected) {
+    if (pair_slabs.count != acasx::LogicTable::entry_count(server.pair_config_)) {
       throw TableIoError("PolicyServer::open", "size mismatch", pairwise_path);
     }
     server.pair_slabs_ = pair_slabs;
@@ -138,10 +136,7 @@ PolicyServer PolicyServer::open(const std::string& pairwise_path,
     } else {
       server.joint_config_ = acasx::JointLogicTable::decode_config(*joint_image);
       server.joint_grid_ = server.joint_config_.grid();
-      const std::size_t expected = server.joint_config_.secondary.num_slabs() *
-                                   (server.joint_config_.space.tau_max + 1) *
-                                   server.joint_grid_.size() * kA * kA;
-      if (joint_slabs.count != expected) {
+      if (joint_slabs.count != acasx::JointLogicTable::entry_count(server.joint_config_)) {
         throw TableIoError("PolicyServer::open", "size mismatch", joint_path);
       }
       server.joint_slabs_ = joint_slabs;

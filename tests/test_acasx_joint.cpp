@@ -58,13 +58,13 @@ class JointTableTest : public ::testing::Test {
   static ThreadPool* pool_;
   static JointLogicTable* joint_;
   static LogicTable* pairwise_;
-  static JointSolveStats stats_;
+  static SolveStats stats_;
 };
 
 ThreadPool* JointTableTest::pool_ = nullptr;
 JointLogicTable* JointTableTest::joint_ = nullptr;
 LogicTable* JointTableTest::pairwise_ = nullptr;
-JointSolveStats JointTableTest::stats_{};
+SolveStats JointTableTest::stats_{};
 
 // ---------------------------------------------------------------------------
 // Abstraction binning.
@@ -281,7 +281,7 @@ TEST_F(JointTableTest, CompiledSolverMatchesOneShotBitIdentically) {
 
   CostModel revised = tiny_joint_config().costs;
   revised.maneuver_cost *= 2.0;
-  JointSolveStats revision_stats;
+  SolveStats revision_stats;
   const JointLogicTable rev = solver.solve(revised, pool_, &revision_stats);
   EXPECT_EQ(revision_stats.stencil_build_seconds, 0.0);
   EXPECT_NE(rev.raw(), resolved.raw());

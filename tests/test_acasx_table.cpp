@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
+#include "acasx/joint_solver.h"
 #include "acasx/offline_solver.h"
+#include "serving/xxh64.h"
 #include "util/expect.h"
+#include "util/thread_pool.h"
 
 namespace cav::acasx {
 namespace {
@@ -277,6 +281,60 @@ TEST(TableSolver, AlertingHelpsUnderLowNoise) {
     best_maneuver = std::min(best_maneuver, costs[a]);
   }
   EXPECT_LT(best_maneuver, costs[static_cast<std::size_t>(Advisory::kCoc)]);
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: XXH64 of the value bytes each solver path writes.  The
+// properties above would survive a change in rounding; these would not.
+// They were captured before the pairwise and joint solvers shared one
+// stencil compiler, layer sweep and induction loop, and they are also the
+// cross-ISA check of the solver tier.  A deliberate change to a table's
+// numbers re-pins them and says why.
+
+template <typename Table>
+std::uint64_t values_digest(const Table& table) {
+  serving::Xxh64 hash;
+  hash.update(table.values(), table.num_entries() * sizeof(float));
+  return hash.digest();
+}
+
+constexpr std::uint64_t kCoarseTableDigest = 0xeac5f2047fc845e8ULL;
+
+TEST_F(TableTest, CoarseTableBytesArePinned) {
+  EXPECT_EQ(values_digest(*table_), kCoarseTableDigest);
+  ThreadPool pool(4);
+  EXPECT_EQ(values_digest(solve_logic_table(config(), &pool)), kCoarseTableDigest);
+  EXPECT_EQ(values_digest(solve_logic_table(config(), nullptr, nullptr, SolverMode::kReference)),
+            kCoarseTableDigest);
+}
+
+TEST(TableDigestTest, CompiledModelCostRevisionBytesArePinned) {
+  const CompiledAcasModel model(AcasXuConfig::coarse());
+  CostModel revised = AcasXuConfig::coarse().costs;
+  revised.nmac_cost = 20000.0;
+  revised.maneuver_cost = 400.0;
+  revised.level_reward = 10.0;
+  EXPECT_EQ(values_digest(model.solve(revised)), 0x9690f82d2af2389cULL);
+}
+
+/// The joint tests' small table (test_acasx_joint.cpp): 17 x 5 x 5 x 13
+/// points, 6 slabs, 17 layers.
+JointConfig tiny_joint_config() {
+  JointConfig c;
+  c.space.h_ft = UniformAxis(-800.0, 800.0, 17);
+  c.space.dh_own_fps = UniformAxis(-2500.0 / 60.0, 2500.0 / 60.0, 5);
+  c.space.dh_int_fps = UniformAxis(-2500.0 / 60.0, 2500.0 / 60.0, 5);
+  c.space.tau_max = 16;
+  return c;
+}
+
+TEST(TableDigestTest, JointTableAndRevisionBytesArePinned) {
+  ThreadPool pool(4);
+  EXPECT_EQ(values_digest(solve_joint_table(tiny_joint_config(), &pool)), 0x3033abba10624a40ULL);
+  const JointOfflineSolver solver(tiny_joint_config(), &pool);
+  CostModel revised = tiny_joint_config().costs;
+  revised.maneuver_cost *= 2.0;
+  EXPECT_EQ(values_digest(solver.solve(revised, &pool)), 0x9c5c4c351a87b48aULL);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // ValidationCampaign work-unit surface: stripe tiling, the N-shard merge
-// bit-identity contract (the property sharded execution stands on), the
-// risk-ratio sentinel/Wilson API, and the fitness evaluators' matching
-// evaluate_runs/merge surface.
+// bit-identity contract (the property sharded execution stands on) and the
+// risk-ratio sentinel/Wilson API.
 #include "core/validation_campaign.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +11,8 @@
 #include <vector>
 
 #include "baselines/tcas_like.h"
-#include "core/fitness.h"
 #include "core/monte_carlo.h"
 #include "encounter/encounter.h"
-#include "encounter/multi_encounter.h"
 
 namespace cav::core {
 namespace {
@@ -175,49 +172,6 @@ TEST(RiskRatioTest, ZeroSystemNmacsIsAHardZeroWhenDefined) {
   EXPECT_EQ(est.ratio, 0.0);
   EXPECT_GE(est.lo, 0.0);
   EXPECT_GT(est.hi, 0.0) << "Wilson hi of 0/200 is positive — no false certainty";
-}
-
-TEST(FitnessWorkUnitTest, EvaluateEqualsMergedStripes) {
-  // The GA fitness evaluator mirrors the campaign's work-unit surface:
-  // any partition of the run range merges bit-identically to evaluate().
-  FitnessConfig config;
-  config.runs_per_encounter = 12;
-  const EncounterEvaluator evaluator(config, {}, {});
-  const auto params = encounter::crossing();
-
-  const EncounterEvaluation whole = evaluator.evaluate(params, 7);
-  for (const std::size_t cut : {1u, 5u, 11u}) {
-    auto head = evaluator.evaluate_runs(params, 7, 0, cut);
-    const auto tail = evaluator.evaluate_runs(params, 7, cut, config.runs_per_encounter);
-    head.insert(head.end(), tail.begin(), tail.end());
-    const EncounterEvaluation merged = evaluator.merge(head);
-    EXPECT_EQ(merged.runs, whole.runs);
-    EXPECT_EQ(merged.nmac_count, whole.nmac_count);
-    EXPECT_EQ(merged.fitness, whole.fitness) << "cut=" << cut;
-    EXPECT_EQ(merged.mean_miss_m, whole.mean_miss_m) << "cut=" << cut;
-    EXPECT_EQ(merged.min_miss_m, whole.min_miss_m) << "cut=" << cut;
-    EXPECT_EQ(merged.alert_fraction_own, whole.alert_fraction_own) << "cut=" << cut;
-  }
-}
-
-TEST(FitnessWorkUnitTest, MultiEvaluatorMatchesToo) {
-  FitnessConfig config;
-  config.runs_per_encounter = 8;
-  const MultiEncounterEvaluator evaluator(config, {}, {});
-  encounter::MultiEncounterParams params;
-  params.intruders.resize(2);
-  params.intruders[0].r_cpa_m = 60.0;
-  params.intruders[1].theta_cpa_rad = 1.2;
-  params.intruders[1].t_cpa_s = 50.0;
-
-  const MultiEncounterEvaluation whole = evaluator.evaluate(params, 3);
-  auto a = evaluator.evaluate_runs(params, 3, 0, 3);
-  const auto b = evaluator.evaluate_runs(params, 3, 3, 8);
-  a.insert(a.end(), b.begin(), b.end());
-  const MultiEncounterEvaluation merged = evaluator.merge(a);
-  EXPECT_EQ(merged.own_nmac_count, whole.own_nmac_count);
-  EXPECT_EQ(merged.fitness, whole.fitness);
-  EXPECT_EQ(merged.mean_miss_m, whole.mean_miss_m);
 }
 
 }  // namespace
