@@ -12,9 +12,37 @@ namespace {
 /// Cells are this much (relative) wider than the size asked for; see
 /// SpatialHashGrid::build.
 constexpr double kCellMargin = 1.0 / 4096.0;
-/// Half-width of the band around r² inside which collect_near_pairs asks
-/// std::hypot; see there.
-constexpr double kHypotBand = 1e-9;
+
+/// The pair contract horizontal_distance <= r, i.e. std::hypot(dx, dy) <= r
+/// on the very dx = xi - xj, dy = yi - yj the caller forms.  q = dx² + dy²
+/// is within a relative 2^-52 of the exact sum (less under FMA
+/// contraction), and std::hypot within a few ulps of the exact root, so the
+/// two tests agree whenever q lies outside r²·(1 ± 1e-9), a band ~10^6
+/// times wider than their combined error; only inside it is hypot called.
+/// r² must be a normal double, which also keeps underflow in q (absolute
+/// error < 2^-1070) far inside the band.  Both pair collections, the grid's
+/// and the direct loop, decide with this one test.
+class RadiusTest {
+ public:
+  explicit RadiusTest(double radius_m)
+      : radius_m_(radius_m),
+        accept_below_(radius_m * radius_m * (1.0 - kBand)),
+        reject_above_(radius_m * radius_m * (1.0 + kBand)) {
+    expect(std::isnormal(radius_m * radius_m), "query radius squared must be a normal double");
+  }
+
+  bool near(double dx, double dy) const {
+    const double q = dx * dx + dy * dy;
+    if (q > reject_above_) return false;
+    return q < accept_below_ || std::hypot(dx, dy) <= radius_m_;
+  }
+
+ private:
+  static constexpr double kBand = 1e-9;
+  double radius_m_;
+  double accept_below_;
+  double reject_above_;
+};
 
 }  // namespace
 
@@ -87,18 +115,7 @@ void SpatialHashGrid::collect_near_pairs(const std::vector<Vec3>& positions, dou
                                          std::vector<std::pair<int, int>>* out) const {
   expect(positions.size() == cell_of_.size(), "grid was built from these positions");
   expect(radius_m <= cell_size_m_, "query radius exceeds the grid cell");
-  // Exact pair set.  The contract is horizontal_distance <= r, i.e.
-  // std::hypot(dx, dy) <= r on the very dx = xi - xj, dy = yi - yj formed
-  // here.  q = dx² + dy² is within a relative 2^-52 of the exact sum (less
-  // under FMA contraction), and std::hypot within a few ulps of the exact
-  // root, so the two tests agree whenever q lies outside r²·(1 ± 1e-9), a
-  // band ~10^6 times wider than their combined error; only inside it is
-  // hypot called.  r² must be a normal double, which also keeps underflow
-  // in q (absolute error < 2^-1070) far inside the band.
-  const double r2 = radius_m * radius_m;
-  expect(std::isnormal(r2), "query radius squared must be a normal double");
-  const double accept_below = r2 * (1.0 - kHypotBand);
-  const double reject_above = r2 * (1.0 + kHypotBand);
+  const RadiusTest test(radius_m);
   const std::size_t row = columns_;
   for (std::size_t i = begin; i < end; ++i) {
     const double xi = positions[i].x;
@@ -111,17 +128,26 @@ void SpatialHashGrid::collect_near_pairs(const std::vector<Vec3>& positions, dou
       const Member* m = members_.data() + cell_start_[first];
       const Member* const last = members_.data() + cell_start_[first + 3];
       for (; m != last; ++m) {
-        if (m->id <= id) continue;
-        const double dx = xi - m->x;
-        const double dy = yi - m->y;
-        const double q = dx * dx + dy * dy;
-        if (q > reject_above) continue;
-        if (q >= accept_below && std::hypot(dx, dy) > radius_m) continue;
-        out->emplace_back(id, m->id);
+        if (m->id > id && test.near(xi - m->x, yi - m->y)) out->emplace_back(id, m->id);
       }
     }
     // Stencil rows arrive in (cell, index) order; restore j-ascending.
     std::sort(out->begin() + static_cast<std::ptrdiff_t>(mark), out->end());
+  }
+}
+
+void collect_near_pairs_direct(const std::vector<Vec3>& positions, double radius_m,
+                               std::size_t begin, std::size_t end,
+                               std::vector<std::pair<int, int>>* out) {
+  const RadiusTest test(radius_m);
+  for (std::size_t i = begin; i < end; ++i) {
+    const double xi = positions[i].x;
+    const double yi = positions[i].y;
+    for (std::size_t j = i + 1; j < positions.size(); ++j) {
+      if (test.near(xi - positions[j].x, yi - positions[j].y)) {
+        out->emplace_back(static_cast<int>(i), static_cast<int>(j));
+      }
+    }
   }
 }
 
@@ -150,7 +176,14 @@ void Airspace::rebuild(const std::vector<Vec3>& positions) {
   near_pairs_.clear();
   for (std::vector<int>& n : neighbors_) n.clear();
   const double radius_m = config_.interaction_radius_m;
-  grid_.build(positions, radius_m);
+  const bool direct = num_agents_ <= kDirectPairsMaxAgents;
+  if (direct) {
+    bool finite = true;
+    for (const Vec3& p : positions) finite &= std::isfinite(p.x) & std::isfinite(p.y);
+    expect(finite, "airspace positions must be finite");
+  } else {
+    grid_.build(positions, radius_m);
+  }
   const int num_lps = config_.parallel.num_lps;
   expect(num_lps >= 1, "airspace num_lps >= 1");
   // LP l collects the pairs whose lower aircraft lies in its index range;
@@ -162,7 +195,11 @@ void Airspace::rebuild(const std::vector<Vec3>& positions) {
     std::vector<std::pair<int, int>>& mine = lp_pairs_[static_cast<std::size_t>(lp)];
     mine.clear();
     const auto [begin, end] = lp_index_range(lp, num_lps, num_agents_);
-    grid_.collect_near_pairs(positions, radius_m, begin, end, &mine);
+    if (direct) {
+      collect_near_pairs_direct(positions, radius_m, begin, end, &mine);
+    } else {
+      grid_.collect_near_pairs(positions, radius_m, begin, end, &mine);
+    }
   });
   for (const auto& mine : lp_pairs_) {
     near_pairs_.insert(near_pairs_.end(), mine.begin(), mine.end());

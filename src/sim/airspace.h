@@ -149,10 +149,21 @@ class SpatialHashGrid {
   std::vector<Member> members_;            ///< sorted by (cell, index)
 };
 
+/// The grid-free pair collection of small fleets: every pair (i, j) with
+/// i in [begin, end) and j > i is tested directly, with the grid's own
+/// radius test, so the list equals SpatialHashGrid::collect_near_pairs'
+/// (lexicographic, horizontal separation <= `radius_m`).  r² must be a
+/// normal double.
+void collect_near_pairs_direct(const std::vector<Vec3>& positions, double radius_m,
+                               std::size_t begin, std::size_t end,
+                               std::vector<std::pair<int, int>>* out);
+
 /// The airspace view the simulation consults once per decision cycle:
 /// which unordered pairs are near, and each agent's sorted neighbor list.
 /// With an infinite interaction radius every pair is near and the grid is
-/// never built.
+/// never built.  A fleet of at most kDirectPairsMaxAgents aircraft skips
+/// the grid too and tests its pairs directly (collect_near_pairs_direct):
+/// the same list, without a counting sort per cycle.
 ///
 /// With config.parallel.num_lps > 1 (finite radius only), rebuild() fans
 /// the pair collection out across logical processes: LP l collects the
@@ -163,6 +174,12 @@ class SpatialHashGrid {
 /// loop) for any LP count.
 class Airspace {
  public:
+  /// The largest fleet whose pairs are collected without the grid:
+  /// bench_pair_collection measured the direct loop no slower than the
+  /// grid's build + collect up to here on dense scenario-like clouds and
+  /// on sparse city-like ones (where the grid first wins, at K = 112).
+  static constexpr std::size_t kDirectPairsMaxAgents = 96;
+
   Airspace(const AirspaceConfig& config, std::size_t num_agents);
 
   /// Recompute near pairs and adjacency from current positions.

@@ -1,11 +1,24 @@
 #include "sim/monitors.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/expect.h"
 #include "util/thread_pool.h"
 
 namespace cav::sim {
+
+namespace {
+
+/// Squared separations above band_top(q) have roots strictly above q's:
+/// sqrt is correctly rounded and std::hypot within a few ulps of the exact
+/// root, while a q computed as dx² + dy² (+ dz²) is within a relative
+/// ~2^-51 of the exact sum, so a relative 1e-9 gap in q survives both; the
+/// DBL_MIN floor covers squares that underflow.  Only samples at or below
+/// band_top of the value that matters need the exact root.
+double band_top(double q) { return q * (1.0 + 1e-9) + std::numeric_limits<double>::min(); }
+
+}  // namespace
 
 void ProximityMeasurer::update(double t_s, const Separation& s) {
   if (s.distance_m < report_.min_distance_m) {
@@ -76,6 +89,84 @@ void PairwiseMonitors::update(double t_s, const std::vector<Vec3>& positions) {
   }
 }
 
+void PairwiseMonitors::replay_slot(PairSlot& slot, const double* times_s, const Vec3* row_a,
+                                   const Vec3* row_b, std::size_t n_rows) {
+  // One pass on squared separations.  q3 = dx² + dy² + dz² is the very
+  // operand distance() takes the root of, and sqrt is monotone, so the
+  // period's smallest distance is sqrt of its smallest q3.  The pass keeps
+  // that q3's first sample, the smallest q3 before it, and the smallest and
+  // runner-up q2 = dx² + dy², which decide whether any other sample needs
+  // an exact root.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double q3_min = kInf;
+  double q3_before = kInf;
+  std::size_t s3 = 0;
+  double q2_min = kInf;
+  double q2_next = kInf;
+  std::size_t s2 = 0;
+  double v_min = kInf;
+  const AccidentConfig& config = slot.accidents.config();
+  const double nmac_top = band_top(config.nmac_horizontal_m * config.nmac_horizontal_m);
+  for (std::size_t s = 0; s < n_rows; ++s) {
+    const Vec3 d = row_a[s] - row_b[s];
+    const double q2 = d.x * d.x + d.y * d.y;
+    const double q3 = q2 + d.z * d.z;
+    const double v = std::abs(d.z);
+    if (q3 < q3_min) {
+      q3_before = q3_min;
+      q3_min = q3;
+      s3 = s;
+    }
+    if (q2 < q2_min) {
+      q2_next = q2_min;
+      q2_min = q2;
+      s2 = s;
+    } else if (q2 < q2_next) {
+      q2_next = q2;
+    }
+    if (v < v_min) v_min = v;
+    // A sample that may be inside the NMAC cylinder takes the exact
+    // per-sample update, which also applies its collision test.
+    if (!slot.accidents.nmac() && v < config.nmac_vertical_m && q2 <= nmac_top) {
+      slot.accidents.update(times_s[s], Separation::between(row_a[s], row_b[s]));
+    }
+  }
+
+  // The period's smallest distance, reached first at the first sample whose
+  // distance rounds to it: s3, unless an earlier q3 lies in its band.
+  const double min_distance = std::sqrt(q3_min);
+  std::size_t first = s3;
+  if (q3_before <= band_top(q3_min)) {
+    for (std::size_t s = 0; s < s3; ++s) {
+      const double q3 = (row_a[s] - row_b[s]).norm_sq();
+      if (q3 <= band_top(q3_min) && std::sqrt(q3) == min_distance) {
+        first = s;
+        break;
+      }
+    }
+  }
+  // The smallest horizontal distance: hypot at the smallest q2 alone, or,
+  // when another q2 lies in its band, the least hypot over that band.
+  double min_horizontal = kInf;
+  if (q2_next > band_top(q2_min)) {
+    min_horizontal = horizontal_distance(row_a[s2], row_b[s2]);
+  } else {
+    for (std::size_t s = 0; s < n_rows; ++s) {
+      const Vec3 d = row_a[s] - row_b[s];
+      if (d.x * d.x + d.y * d.y > band_top(q2_min)) continue;
+      const double h = std::hypot(d.x, d.y);
+      if (h < min_horizontal) min_horizontal = h;
+    }
+  }
+  // Folding the period's minima in as one sample at `first` is what the
+  // per-sample updates would have left.
+  slot.proximity.update(times_s[first], Separation{min_distance, min_horizontal, v_min});
+  // Some sample is inside the collision sphere iff the closest one is.
+  if (!slot.accidents.hard_collision() && min_distance < config.collision_radius_m) {
+    slot.accidents.update(times_s[s3], Separation::between(row_a[s3], row_b[s3]));
+  }
+}
+
 void PairwiseMonitors::update_series(const std::vector<double>& times_s,
                                      const std::vector<Vec3>& snapshots, std::size_t n_rows,
                                      int num_lps, ThreadPool* pool) {
@@ -84,9 +175,8 @@ void PairwiseMonitors::update_series(const std::vector<double>& times_s,
   auto run_stripe = [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       PairSlot& slot = slots_[active_[k]];
-      const Vec3* row_a = snapshots.data() + slot.a * n_rows;
-      const Vec3* row_b = snapshots.data() + slot.b * n_rows;
-      for (std::size_t s = 0; s < n_rows; ++s) update_slot(slot, times_s[s], row_a[s], row_b[s]);
+      replay_slot(slot, times_s.data(), snapshots.data() + slot.a * n_rows,
+                  snapshots.data() + slot.b * n_rows, n_rows);
     }
   };
   if (pool != nullptr && num_lps > 1) {

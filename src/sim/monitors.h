@@ -190,6 +190,10 @@ class PairwiseMonitors {
     return (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
   }
   static void update_slot(PairSlot& slot, double t_s, const Vec3& a, const Vec3& b);
+  /// update_series' kernel for one slot: the same result as n_rows
+  /// update_slot calls, from squared separations and a few exact roots.
+  static void replay_slot(PairSlot& slot, const double* times_s, const Vec3* row_a,
+                          const Vec3* row_b, std::size_t n_rows);
   /// Index entry of pair (i, j); null when it was never monitored.
   const IndexEntry* find(std::size_t i, std::size_t j) const;
 

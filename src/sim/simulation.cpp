@@ -46,6 +46,12 @@ Simulation::Simulation(const SimConfig& config, std::vector<AgentSetup> agents,
   expect(config.dt_dynamics_s > 0.0, "dt_dynamics_s > 0");
   expect(config.decision_period_s >= config.dt_dynamics_s,
          "decision period is at least one physics step");
+  // run() decides every round(period / dt) physics steps, while scripted
+  // maneuvers and trackers count time in configured periods; a period that
+  // is not a whole number of steps would make the two clocks drift apart.
+  const double steps = config.decision_period_s / config.dt_dynamics_s;
+  expect(std::abs(steps - std::round(steps)) <= 1e-9 * steps,
+         "decision period is a whole number of physics steps");
   expect(config.max_time_s > 0.0, "max_time_s > 0");
   expect(config.record_every_n >= 1, "record_every_n >= 1");
   expect(config.airspace.parallel.num_lps >= 1, "num_lps >= 1");

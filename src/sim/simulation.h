@@ -59,7 +59,7 @@ namespace cav::sim {
 
 struct SimConfig {
   double dt_dynamics_s = 0.1;     ///< physics integration step
-  double decision_period_s = 1.0; ///< surveillance/decision cycle
+  double decision_period_s = 1.0; ///< surveillance/decision cycle, whole physics steps
   double max_time_s = 120.0;      ///< hard stop
   DisturbanceConfig disturbance;
   AdsbConfig adsb;                ///< white noise + i.i.d. dropout (all links)

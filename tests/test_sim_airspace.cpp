@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/monitors.h"
+#include "util/expect.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/vec3.h"
@@ -47,6 +50,14 @@ std::vector<std::pair<int, int>> brute_force_pairs(const std::vector<Vec3>& posi
   return pairs;
 }
 
+/// Position `x` moved by `ulps` representable steps.
+double nudge(double x, int ulps) {
+  for (; ulps != 0; ulps += ulps > 0 ? -1 : 1) {
+    x = std::nextafter(x, ulps > 0 ? HUGE_VAL : -HUGE_VAL);
+  }
+  return x;
+}
+
 /// Pairs placed within a few ulps of the radius apart, spread over a
 /// lattice of anchors 3 radii apart so they do not interact.
 std::vector<Vec3> radius_band_cloud(double radius_m, std::uint64_t seed) {
@@ -58,12 +69,7 @@ std::vector<Vec3> radius_band_cloud(double radius_m, std::uint64_t seed) {
     const double theta = rng.uniform(0.0, 6.283185307179586);
     Vec3 other{anchor.x + radius_m * std::cos(theta), anchor.y + radius_m * std::sin(theta),
                1000.0};
-    for (double* c : {&other.x, &other.y}) {
-      for (int ulps = static_cast<int>(rng.uniform_int(-3, 3)); ulps != 0;
-           ulps += ulps > 0 ? -1 : 1) {
-        *c = std::nextafter(*c, ulps > 0 ? HUGE_VAL : -HUGE_VAL);
-      }
-    }
+    for (double* c : {&other.x, &other.y}) *c = nudge(*c, static_cast<int>(rng.uniform_int(-3, 3)));
     positions.push_back(anchor);
     positions.push_back(other);
   }
@@ -172,9 +178,17 @@ TEST(Airspace, AllPairsModeListsEveryPairWithoutPositions) {
 
 TEST(Airspace, GridAdjacencyMatchesPairList) {
   // Every LP count collects the brute-force pair list and the adjacency it
-  // implies, on uniform clouds and on the grid's edge inputs.
+  // implies, on uniform clouds and on the grid's edge inputs, and on
+  // fleets of K = 2 ... kDirectPairsMaxAgents + 1 cut from the lattices
+  // and the ulp-band cloud, so both the direct loop and the grid run.
   ThreadPool pool(3);
   std::vector<std::vector<Vec3>> inputs = grid_inputs(2000.0, 11);
+  const std::size_t whole = inputs.size();
+  for (std::size_t k = 2; k <= Airspace::kDirectPairsMaxAgents + 1; ++k) {
+    for (std::size_t c = whole - 4; c < whole; ++c) {  // three lattices, the band cloud
+      inputs.emplace_back(inputs[c].begin(), inputs[c].begin() + static_cast<std::ptrdiff_t>(k));
+    }
+  }
   inputs.insert(inputs.begin(), random_cloud(60, 5000.0, 11));
   for (std::size_t c = 0; c < inputs.size(); ++c) {
     const auto& positions = inputs[c];
@@ -197,6 +211,20 @@ TEST(Airspace, GridAdjacencyMatchesPairList) {
             << "input " << c << " lps " << num_lps << " agent " << i;
       }
     }
+  }
+}
+
+TEST(Airspace, RejectsNonFinitePositionsWithAndWithoutTheGrid) {
+  AirspaceConfig config;
+  config.interaction_radius_m = 1000.0;
+  for (const std::size_t k : {std::size_t{2}, Airspace::kDirectPairsMaxAgents + 1}) {
+    std::vector<Vec3> positions = random_cloud(k, 5000.0, 3);
+    Airspace airspace(config, k);
+    airspace.rebuild(positions);
+    positions[k - 1].y = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(airspace.rebuild(positions), ContractViolation) << "K " << k;
+    positions[k - 1].y = HUGE_VAL;
+    EXPECT_THROW(airspace.rebuild(positions), ContractViolation) << "K " << k;
   }
 }
 
@@ -376,61 +404,170 @@ TEST(PairwiseMonitors, ChurnReactivationResumesTheFrozenSlot) {
   EXPECT_EQ(report.time_of_min_distance_s, 2.0);
 }
 
+/// Every field a pair's monitors report, in both banks, for each pair.
+void expect_same_monitors(const PairwiseMonitors& got, const PairwiseMonitors& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.num_pairs(), want.num_pairs()) << context;
+  for (std::size_t p = 0; p < want.num_pairs(); ++p) {
+    const ProximityReport& g = got.proximity_at(p).report();
+    const ProximityReport& w = want.proximity_at(p).report();
+    EXPECT_EQ(got.pair_agents(p), want.pair_agents(p)) << context << " pair " << p;
+    EXPECT_EQ(g.min_distance_m, w.min_distance_m) << context << " pair " << p;
+    EXPECT_EQ(g.min_horizontal_m, w.min_horizontal_m) << context << " pair " << p;
+    EXPECT_EQ(g.min_vertical_m, w.min_vertical_m) << context << " pair " << p;
+    EXPECT_EQ(g.time_of_min_distance_s, w.time_of_min_distance_s) << context << " pair " << p;
+    EXPECT_EQ(got.accidents_at(p).nmac(), want.accidents_at(p).nmac()) << context << " pair " << p;
+    EXPECT_EQ(got.accidents_at(p).nmac_time_s(), want.accidents_at(p).nmac_time_s())
+        << context << " pair " << p;
+    EXPECT_EQ(got.accidents_at(p).hard_collision(), want.accidents_at(p).hard_collision())
+        << context << " pair " << p;
+  }
+}
+
+/// Replay inputs for pairs (2c, 2c + 1) that stress the squared-distance
+/// replay: rows[g][agent] is every aircraft's position after global
+/// substep g.  Case c is of kind c % 6:
+///   0  random separations;
+///   1  horizontal separation within ±3 ulps of the NMAC radius, vertical
+///      inside the cylinder (also a horizontal near-tie on every sample);
+///   2  3-D separation within ±2 ulps of the collision radius;
+///   3  exact ties at different substeps, and near-ties an ulp apart;
+///   4  a row that converges on every substep of the run;
+///   5  a constant-range orbit: every q within a few ulps of the others.
+std::vector<std::vector<Vec3>> replay_rows(const AccidentConfig& accident, std::size_t cases,
+                                           std::size_t substeps, std::uint64_t seed) {
+  std::vector<std::vector<Vec3>> rows(substeps, std::vector<Vec3>(2 * cases));
+  for (std::size_t c = 0; c < cases; ++c) {
+    RngStream rng = RngStream::derive(seed, "replay", c);
+    // Kind 3's separation: multiples of 1/64 m, so every scaled copy and
+    // every difference below is exact.
+    const Vec3 tie{std::round(rng.uniform(40.0, 200.0) * 64.0) / 64.0,
+                   std::round(rng.uniform(-200.0, 200.0) * 64.0) / 64.0,
+                   std::round(rng.uniform(-60.0, 60.0) * 64.0) / 64.0};
+    const Vec3 heading{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1)};
+    for (std::size_t g = 0; g < substeps; ++g) {
+      Vec3 a{0.0, 0.0, 1000.0};
+      Vec3 b;
+      const double theta = rng.uniform(0.0, 6.283185307179586);
+      switch (c % 6) {
+        case 0:
+          a = {rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0), rng.uniform(-40.0, 40.0)};
+          b = {rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0), rng.uniform(-40.0, 40.0)};
+          break;
+        case 1: {
+          const double r = accident.nmac_horizontal_m;
+          b = {nudge(r * std::cos(theta), static_cast<int>(rng.uniform_int(-3, 3))),
+               nudge(r * std::sin(theta), static_cast<int>(rng.uniform_int(-3, 3))),
+               1000.0 + rng.uniform(-25.0, 25.0)};
+          break;
+        }
+        case 2: {
+          // Three radii out on most substeps, so a period's closest sample
+          // is often one of the few within ulps of the radius.
+          const double r = accident.collision_radius_m * (rng.chance(0.2) ? 1.0 : 3.0);
+          const double phi = rng.uniform(-1.5, 1.5);
+          a = {};
+          b = {nudge(r * std::cos(phi) * std::cos(theta), static_cast<int>(rng.uniform_int(-2, 2))),
+               nudge(r * std::cos(phi) * std::sin(theta), static_cast<int>(rng.uniform_int(-2, 2))),
+               nudge(r * std::sin(phi), static_cast<int>(rng.uniform_int(-2, 2)))};
+          break;
+        }
+        case 3: {
+          // Scale 1 (the minimum) on about half the substeps; some of
+          // those copies move b by one ulp.
+          const double scales[] = {1.0, 1.0, 1.25, 1.5, 2.0};
+          const double f = scales[rng.uniform_int(0, 4)];
+          a = {100.0 * static_cast<double>(g % 4), 50.0, 1000.0};
+          b = a + tie * f;
+          if (f == 1.0 && rng.chance(0.3)) b.x = nudge(b.x, rng.chance(0.5) ? 1 : -1);
+          break;
+        }
+        case 4: {
+          const double left = 1.0 - static_cast<double>(g) / static_cast<double>(substeps);
+          b = a + heading * (900.0 * left);
+          break;
+        }
+        default:
+          b = {nudge(300.0 * std::cos(theta), static_cast<int>(rng.uniform_int(-2, 2))),
+               nudge(300.0 * std::sin(theta), static_cast<int>(rng.uniform_int(-2, 2))), 1010.0};
+          break;
+      }
+      rows[g][2 * c] = a;
+      rows[g][2 * c + 1] = b;
+    }
+  }
+  return rows;
+}
+
 TEST(PairwiseMonitors, UpdateSeriesMatchesSequentialReplayForAnyPartition) {
-  // The LP hand-off seam: replaying a period of snapshots through
-  // update_series — for any (num_lps, pool) partition of the slots — must
-  // equal the sequential per-substep update() calls, and the (i, j)-sorted
-  // assembly view must be identical afterwards.
-  const std::size_t num_agents = 12;
-  RngStream rng = RngStream::derive(5, "series");
+  // The LP hand-off seam and the squared-distance replay: replaying
+  // periods of snapshots through update_series — for any (num_lps, pool)
+  // partition of the slots — must leave every monitor field exactly as the
+  // per-substep update() calls do, period after period.
+  const std::size_t cases = 300;
+  const std::size_t num_agents = 2 * cases;
+  const std::size_t n_rows = 10;
+  const std::size_t periods = 3;
+  // A collision radius at which q < r² and sqrt(q) < r can disagree (the
+  // double below fl(30.1²)); at 30 m they never do.
+  const AccidentConfig accident{.collision_radius_m = 30.1};
+  const auto rows = replay_rows(accident, cases, n_rows * periods, 5);
   std::vector<std::pair<int, int>> pairs;
-  for (std::size_t i = 0; i + 1 < num_agents; i += 2) {
-    pairs.emplace_back(static_cast<int>(i), static_cast<int>(i + 1));
-    pairs.emplace_back(static_cast<int>(i), static_cast<int>(i + 2 < num_agents ? i + 2 : 0));
+  for (std::size_t c = 0; c < cases; ++c) {
+    pairs.emplace_back(static_cast<int>(2 * c), static_cast<int>(2 * c + 1));
+  }
+  // A few cross pairs too, so slots are not all neighbours in memory.
+  for (std::size_t c = 0; c + 3 < num_agents; c += 37) {
+    pairs.emplace_back(static_cast<int>(c), static_cast<int>(c + 3));
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-  const std::size_t n_rows = 10;
-  std::vector<double> times(n_rows);
-  std::vector<std::vector<Vec3>> rows(n_rows, std::vector<Vec3>(num_agents));
-  for (std::size_t s = 0; s < n_rows; ++s) {
-    times[s] = 0.1 * static_cast<double>(s + 1);
-    for (auto& p : rows[s]) {
-      p = {rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0), rng.uniform(-40.0, 40.0)};
+  // The band kinds bite only if the squared tests misjudge some samples.
+  int nmac_misjudged = 0;
+  int collision_misjudged = 0;
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < cases; ++c) {
+      const Vec3 d = row[2 * c] - row[2 * c + 1];
+      const double q2 = d.x * d.x + d.y * d.y;
+      const double h = accident.nmac_horizontal_m;
+      const double r = accident.collision_radius_m;
+      nmac_misjudged += (q2 < h * h) != (std::hypot(d.x, d.y) < h);
+      collision_misjudged += (d.norm_sq() < r * r) != (d.norm() < r);
     }
   }
+  EXPECT_GT(nmac_misjudged, 0);
+  EXPECT_GT(collision_misjudged, 0);
 
-  PairwiseMonitors reference(num_agents, AccidentConfig{});
+  PairwiseMonitors reference(num_agents, accident);
   reference.set_active_pairs(pairs);
-  for (std::size_t s = 0; s < n_rows; ++s) reference.update(times[s], rows[s]);
-
-  // update_series reads the same snapshots agent-major: [agent][substep].
-  std::vector<Vec3> snapshots(num_agents * n_rows);
-  for (std::size_t s = 0; s < n_rows; ++s) {
-    for (std::size_t a = 0; a < num_agents; ++a) snapshots[a * n_rows + s] = rows[s][a];
+  std::vector<double> times(n_rows * periods);
+  for (std::size_t g = 0; g < times.size(); ++g) {
+    times[g] = 0.1 * static_cast<double>(g + 1);
+    reference.update(times[g], rows[g]);
   }
 
   ThreadPool pool(3);
   for (const int num_lps : {1, 2, 5}) {
-    PairwiseMonitors partitioned(num_agents, AccidentConfig{});
+    PairwiseMonitors partitioned(num_agents, accident);
     partitioned.set_active_pairs(pairs);
-    partitioned.update_series(times, snapshots, n_rows, num_lps, num_lps > 1 ? &pool : nullptr);
-    ASSERT_EQ(partitioned.num_pairs(), reference.num_pairs()) << num_lps;
-    for (std::size_t p = 0; p < reference.num_pairs(); ++p) {
-      EXPECT_EQ(partitioned.pair_agents(p), reference.pair_agents(p)) << num_lps << " " << p;
-      EXPECT_EQ(partitioned.proximity_at(p).report().min_distance_m,
-                reference.proximity_at(p).report().min_distance_m)
-          << num_lps << " " << p;
-      EXPECT_EQ(partitioned.proximity_at(p).report().time_of_min_distance_s,
-                reference.proximity_at(p).report().time_of_min_distance_s)
-          << num_lps << " " << p;
-      EXPECT_EQ(partitioned.accidents_at(p).nmac(), reference.accidents_at(p).nmac())
-          << num_lps << " " << p;
-      EXPECT_EQ(partitioned.accidents_at(p).nmac_time_s(),
-                reference.accidents_at(p).nmac_time_s())
-          << num_lps << " " << p;
+    for (std::size_t period = 0; period < periods; ++period) {
+      // update_series reads one period's snapshots agent-major:
+      // [agent][substep].
+      const std::size_t first = period * n_rows;
+      std::vector<Vec3> snapshots(num_agents * n_rows);
+      for (std::size_t s = 0; s < n_rows; ++s) {
+        for (std::size_t a = 0; a < num_agents; ++a) {
+          snapshots[a * n_rows + s] = rows[first + s][a];
+        }
+      }
+      const std::vector<double> period_times(times.begin() + static_cast<std::ptrdiff_t>(first),
+                                             times.begin() +
+                                                 static_cast<std::ptrdiff_t>(first + n_rows));
+      partitioned.update_series(period_times, snapshots, n_rows, num_lps,
+                                num_lps > 1 ? &pool : nullptr);
     }
+    expect_same_monitors(partitioned, reference, "lps " + std::to_string(num_lps));
   }
 }
 

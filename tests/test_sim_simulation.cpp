@@ -118,6 +118,9 @@ TEST(Simulation, RejectsBadConfig) {
   SimConfig config2;
   config2.decision_period_s = 0.01;  // smaller than physics step
   EXPECT_THROW(run_encounter(config2, unequipped({}), unequipped({}), 1), ContractViolation);
+  SimConfig config3;
+  config3.decision_period_s = 0.25;  // 2.5 physics steps: would decide every 0.3 s
+  EXPECT_THROW(run_encounter(config3, unequipped({}), unequipped({}), 1), ContractViolation);
 }
 
 TEST_F(SimulationWithTableTest, EquippedResolvesHeadOn) {

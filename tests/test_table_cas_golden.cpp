@@ -11,7 +11,8 @@
 // final advisory label (with the horizontal "+L"/"+R" suffix) and
 // resolver statistics.  The head-on and ring runs stop at 30 s and 37 s,
 // before their 40-s CPA, so the final label is a live advisory; the tail
-// approach runs to its 45-s CPA.
+// approach runs to its 45-s CPA.  A third pin covers a 512-encounter
+// pairwise Monte-Carlo campaign with the point-estimate logic.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,6 +24,7 @@
 #include "acasx/joint_solver.h"
 #include "acasx/offline_solver.h"
 #include "coarse_horizontal_table.h"
+#include "core/validation_campaign.h"
 #include "encounter/encounter.h"
 #include "scenarios/scenario_library.h"
 #include "sim/acasx_cas.h"
@@ -189,6 +191,51 @@ TEST(TableCasGolden, HorizontalRingJointTable) {
                  {3, 0, "COC", {37, 148, 4, 0, 37, 0, 0, 10}},
                  {3, 0, "SDES2500+L", {37, 148, 4, 0, 37, 0, 0, 13}},
                  {9, 0, "COC", {37, 148, 4, 0, 37, 0, 0, 5}}});
+}
+
+TEST(TableCasGolden, PairwiseCampaignCells) {
+  // 512 pairwise encounters of the statistical model, ACAS Xu (point
+  // estimate, kNearest) on both aircraft: the campaign totals and every
+  // canonical cell's separation sum, pinned bit for bit.  The sums fold in
+  // each encounter's minimum 3-D separation, so the pin covers the whole
+  // engine (pair collection, decisions, physics, monitor replay) on the
+  // path the Monte-Carlo rates are estimated from.
+  core::MonteCarloConfig config;
+  config.encounters = 512;
+  config.seed = kSeed;
+  const CasFactory cas = AcasXuCas::factory(tables().pairwise);
+  const core::ValidationCampaign campaign(encounter::StatisticalEncounterModel{}, config,
+                                          "acas-xu", cas, cas);
+  const core::StripeResult r = campaign.run_stripe(campaign.make_stripes(1).front());
+
+  static constexpr std::array<double, 64> kSepSum = {
+      1695.3180141549801, 2971.4711259779765, 1965.6893742777772, 1564.4860804759173,
+      1820.0026742635985, 1507.3833050061655, 1491.2467319429516, 1242.2916178273294,
+      1416.668141508761, 1469.2988428563472, 1491.8555473825693, 2077.192974536239,
+      1014.1961474842346, 1727.4358491190367, 2003.6750354237299, 1899.7094734960604,
+      1778.4240357818876, 1776.9156937441851, 2027.6114315415734, 1490.5567217906212,
+      1460.4773480545525, 1732.0165017957856, 1321.0376152868116, 1955.5575757505555,
+      1970.5336936342317, 1289.22329592608, 1877.1523620229241, 1451.1011923416841,
+      1254.3644662064069, 1772.6248111099376, 2150.0349941040699, 1858.0709969754021,
+      1627.4600015057372, 1236.1138553413662, 1732.9905766148281, 936.05086613546837,
+      1417.9164499486992, 1110.9708285712029, 1639.8162418713612, 2148.0050419302461,
+      1165.9808203040384, 1476.3574417623361, 1296.5988257513272, 2090.0710952524623,
+      1495.0633175789703, 1366.5151217900395, 2105.0182982534834, 1489.7785561152034,
+      2098.3103194236951, 1436.0370355461525, 2432.2855495139484, 2266.9866376340347,
+      1818.5885326077705, 1668.6496320727567, 1994.3343023202808, 1949.1185330699427,
+      2044.1906565631664, 2196.9981357436536, 1084.9403890354845, 2452.7313128904443,
+      1680.3208577016567, 1295.8482053374737, 2048.3740751232967, 1762.1664432181399,
+  };
+  ASSERT_EQ(r.cells.size(), kSepSum.size());
+  std::uint64_t nmacs = 0;
+  std::uint64_t alerts = 0;
+  for (std::size_t c = 0; c < r.cells.size(); ++c) {
+    nmacs += r.cells[c].nmacs;
+    alerts += r.cells[c].alerts;
+    EXPECT_EQ(r.cells[c].sep_sum, kSepSum[c]) << "cell " << c;
+  }
+  EXPECT_EQ(nmacs, 8u);
+  EXPECT_EQ(alerts, 265u);
 }
 
 }  // namespace
