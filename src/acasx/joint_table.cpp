@@ -61,21 +61,10 @@ void JointLogicTable::action_costs(double tau1_s, double delta_s, double h1_ft,
                                    SecondarySense sense, Advisory ra,
                                    std::span<double, kNumAdvisories> out) const {
   expect(num_entries() != 0, "joint table is solved/loaded");
-  const std::size_t db = config_.secondary.delta_bin(delta_s);
-  const std::size_t slab = config_.slab_index(db, sense);
-
-  // The layer axis counts down to the SECONDARY's CPA and advances one
-  // dynamics step (dt_s) per layer; with delta snapped to its bin value the
-  // primary's CPA sits at layer delta_value/dt, so the query layer
-  // preserving the primary's tau is (tau1 + delta_value) / dt.  (At the
-  // default dt_s = 1 this is the pairwise LogicTable convention exactly.)
-  const serving::TauBracket t = serving::bracket_tau(
-      (tau1_s + config_.secondary.delta_value_s(db)) / config_.dynamics.dt_s,
-      config_.space.tau_max);
-  serving::grid_query<kNumAdvisories>(serving::F32View{values()}, grid_,
-                                      {h1_ft, dh_own_fps, dh_int1_fps, h2_ft},
-                                      slab * num_tau_layers(), t, static_cast<std::size_t>(ra),
-                                      out.data());
+  serving::grid_query<kNumAdvisories>(
+      serving::F32View{values()}, grid_,
+      locate(config_, tau1_s, delta_s, h1_ft, dh_own_fps, dh_int1_fps, h2_ft, sense, ra),
+      out.data());
 }
 
 void JointLogicTable::save(const std::string& path, serving::Quantization quant) const {

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,7 +49,9 @@
 #include "acasx/config.h"
 #include "acasx/online_logic.h"
 #include "acasx/q_store.h"
+#include "serving/kernel.h"
 #include "serving/quantize.h"
+#include "util/expect.h"
 #include "util/grid.h"
 
 namespace cav::acasx {
@@ -80,11 +83,14 @@ struct SecondaryAbstraction {
   /// |vertical rate| below this (ft/s) classifies as kLevel.
   double sense_level_threshold_fps = 400.0 / 60.0;
 
-  /// Nearest delta bin for a continuous offset (negative clamps to 0).
+  /// Nearest delta bin for a continuous offset (negative clamps to 0, an
+  /// offset past the last bin, +inf included, to the last).  The clamp
+  /// comes before the cast, so no offset casts out of range.
   std::size_t delta_bin(double delta_s) const {
     if (delta_s <= 0.0) return 0;
-    const auto b = static_cast<std::size_t>(delta_s / delta_step_s + 0.5);
-    return b >= num_delta_bins ? num_delta_bins - 1 : b;
+    const double b = delta_s / delta_step_s + 0.5;
+    if (!(b < static_cast<double>(num_delta_bins))) return num_delta_bins - 1;
+    return static_cast<std::size_t>(b);
   }
   /// CPA offset represented by bin b, seconds.
   double delta_value_s(std::size_t b) const { return static_cast<double>(b) * delta_step_s; }
@@ -172,8 +178,10 @@ class JointLogicTable {
   /// secondary's offset; delta and the sense class snap to their bins
   /// (nearest), then the layer (tau1 + delta_bin_value) / dynamics.dt_s is
   /// interpolated linearly and (h1, dh_own, dh_int1, h2) multilinearly,
-  /// exactly like LogicTable::action_costs.  The span overload is the real
-  /// entry point (the shared serving kernel); the array form wraps it.
+  /// exactly like LogicTable::action_costs.  A NaN field, or a `sense` or
+  /// `ra` outside its enum, throws ContractViolation (see locate()).  The
+  /// span overload is the real entry point (the shared serving kernel);
+  /// the array form wraps it.
   void action_costs(double tau1_s, double delta_s, double h1_ft, double dh_own_fps,
                     double dh_int1_fps, double h2_ft, SecondarySense sense, Advisory ra,
                     std::span<double, kNumAdvisories> out) const;
@@ -184,6 +192,35 @@ class JointLogicTable {
     std::array<double, kNumAdvisories> costs{};
     action_costs(tau1_s, delta_s, h1_ft, dh_own_fps, dh_int1_fps, h2_ft, sense, ra, costs);
     return costs;
+  }
+
+  /// Locate a joint query on a table of `config` for the serving kernel
+  /// (serving/kernel.h).  It rejects a NaN field, and a `sense` or `ra`
+  /// outside its enum, with ContractViolation before any of them can
+  /// become an index; +-inf clamps to the table's edge (an infinite
+  /// delta_s to the last bin).  action_costs() and
+  /// PolicyServer::query_batch both locate through it.
+  static serving::GridQuery<4> locate(const JointConfig& config, double tau1_s, double delta_s,
+                                      double h1_ft, double dh_own_fps, double dh_int1_fps,
+                                      double h2_ft, SecondarySense sense, Advisory ra) {
+    expect(!(std::isnan(tau1_s) || std::isnan(delta_s) || std::isnan(h1_ft) ||
+             std::isnan(dh_own_fps) || std::isnan(dh_int1_fps) || std::isnan(h2_ft)),
+           "joint query has no NaN field");
+    expect(static_cast<std::size_t>(sense) < kNumSecondarySenses,
+           "query sense is a secondary sense class");
+    expect(static_cast<std::size_t>(ra) < kNumAdvisories, "query ra is an advisory");
+    const std::size_t db = config.secondary.delta_bin(delta_s);
+    // The layer axis counts down to the SECONDARY's CPA and advances one
+    // dynamics step (dt_s) per layer; with delta snapped to its bin value
+    // the primary's CPA sits at layer delta_value/dt, so the query layer
+    // preserving the primary's tau is (tau1 + delta_value) / dt.  (At the
+    // default dt_s = 1 this is the pairwise LogicTable convention exactly.)
+    return {{h1_ft, dh_own_fps, dh_int1_fps, h2_ft},
+            config.slab_index(db, sense) * (config.space.tau_max + 1),
+            serving::bracket_tau((tau1_s + config.secondary.delta_value_s(db)) /
+                                     config.dynamics.dt_s,
+                                 config.space.tau_max),
+            static_cast<std::size_t>(ra)};
   }
 
   /// Serialize to a versioned serving::TableImage container (the joint

@@ -36,10 +36,9 @@ std::size_t LogicTable::entry_count(const AcasXuConfig& config) {
 void LogicTable::action_costs(double tau_s, double h_ft, double dh_own_fps, double dh_int_fps,
                               Advisory ra, std::span<double, kNumAdvisories> out) const {
   expect(num_entries() != 0, "logic table is solved/loaded");
-  const serving::TauBracket t = serving::bracket_tau(tau_s, config_.space.tau_max);
-  serving::grid_query<kNumAdvisories>(serving::F32View{values()}, grid_,
-                                      {h_ft, dh_own_fps, dh_int_fps}, 0, t,
-                                      static_cast<std::size_t>(ra), out.data());
+  serving::grid_query<kNumAdvisories>(
+      serving::F32View{values()}, grid_,
+      locate(config_, tau_s, h_ft, dh_own_fps, dh_int_fps, ra), out.data());
 }
 
 void LogicTable::save(const std::string& path, serving::Quantization quant) const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -24,7 +25,9 @@
 #include "acasx/advisory.h"
 #include "acasx/config.h"
 #include "acasx/q_store.h"
+#include "serving/kernel.h"
 #include "serving/quantize.h"
+#include "util/expect.h"
 #include "util/grid.h"
 
 namespace cav::acasx {
@@ -56,9 +59,11 @@ class LogicTable {
   /// Interpolated per-action costs at a continuous state.  tau_s is clamped
   /// to [0, tau_max] and interpolated linearly between integer layers; the
   /// (h, dh_own, dh_int) point is interpolated multilinearly (clamped at
-  /// the grid boundary).  The span overload is the real entry point — the
-  /// same serving kernel the batched PolicyServer runs (batch-of-one is
-  /// bit-identical by construction); the array form is a thin wrapper.
+  /// the grid boundary).  A NaN field or an `ra` outside the enum throws
+  /// ContractViolation (see locate()).  The span overload is the real
+  /// entry point — the same serving kernel the batched PolicyServer runs
+  /// (batch-of-one is bit-identical by construction); the array form is a
+  /// thin wrapper.
   void action_costs(double tau_s, double h_ft, double dh_own_fps, double dh_int_fps, Advisory ra,
                     std::span<double, kNumAdvisories> out) const;
   std::array<double, kNumAdvisories> action_costs(double tau_s, double h_ft, double dh_own_fps,
@@ -66,6 +71,24 @@ class LogicTable {
     std::array<double, kNumAdvisories> costs{};
     action_costs(tau_s, h_ft, dh_own_fps, dh_int_fps, ra, costs);
     return costs;
+  }
+
+  /// Locate a query on a table of `config` for the serving kernel
+  /// (serving/kernel.h): grid point, tau bracket and advisory row.  It
+  /// rejects a NaN field and an `ra` outside the enum with
+  /// ContractViolation before either can become an index; +-inf clamps to
+  /// the table's edge.  action_costs() and PolicyServer::query_batch both
+  /// locate through it.
+  static serving::GridQuery<3> locate(const AcasXuConfig& config, double tau_s, double h_ft,
+                                      double dh_own_fps, double dh_int_fps, Advisory ra) {
+    expect(!(std::isnan(tau_s) || std::isnan(h_ft) || std::isnan(dh_own_fps) ||
+             std::isnan(dh_int_fps)),
+           "pairwise query has no NaN field");
+    expect(static_cast<std::size_t>(ra) < kNumAdvisories, "query ra is an advisory");
+    return {{h_ft, dh_own_fps, dh_int_fps},
+            0,
+            serving::bracket_tau(tau_s, config.space.tau_max),
+            static_cast<std::size_t>(ra)};
   }
 
   /// Serialize to a versioned serving::TableImage container, so the

@@ -1,6 +1,8 @@
 #include "serving/policy_server.h"
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
 
 #include "serving/kernel.h"
 #include "util/expect.h"
@@ -29,44 +31,60 @@ void with_view(const ValueSlabs& slabs, Fn&& fn) {
 }
 
 template <class View>
-void eval_pair_range(const View& view, const GridN<3>& grid, std::size_t tau_max,
+void eval_pair_range(const View& view, const GridN<3>& grid, const acasx::AcasXuConfig& config,
                      std::span<const TrackQuery> queries, std::span<AdvisoryCosts> out,
                      std::size_t begin, std::size_t end) {
-  for (std::size_t k = begin; k < end; ++k) {
-    const TrackQuery& q = queries[k];
-    const TauBracket t = bracket_tau(q.tau_s, tau_max);
-    grid_query<kA>(view, grid, {q.h_ft, q.dh_own_fps, q.dh_int_fps}, 0, t,
-                   static_cast<std::size_t>(q.ra), out[k].costs.data());
-  }
+  grid_query_batch<kA>(
+      view, grid, begin, end,
+      [&](std::size_t k) {
+        const TrackQuery& q = queries[k];
+        return acasx::LogicTable::locate(config, q.tau_s, q.h_ft, q.dh_own_fps, q.dh_int_fps,
+                                         q.ra);
+      },
+      [&](std::size_t k) { return out[k].costs.data(); });
 }
 
 template <class View>
 void eval_joint_range(const View& view, const GridN<4>& grid, const acasx::JointConfig& config,
                       std::span<const JointTrackQuery> queries, std::span<AdvisoryCosts> out,
                       std::size_t begin, std::size_t end) {
-  const std::size_t layers = config.space.tau_max + 1;
-  for (std::size_t k = begin; k < end; ++k) {
-    const JointTrackQuery& q = queries[k];
-    const std::size_t db = config.secondary.delta_bin(q.delta_s);
-    const std::size_t slab = config.slab_index(db, q.sense);
-    const TauBracket t = bracket_tau(
-        (q.tau1_s + config.secondary.delta_value_s(db)) / config.dynamics.dt_s,
-        config.space.tau_max);
-    grid_query<kA>(view, grid, {q.h1_ft, q.dh_own_fps, q.dh_int1_fps, q.h2_ft},
-                   slab * layers, t, static_cast<std::size_t>(q.ra), out[k].costs.data());
-  }
+  grid_query_batch<kA>(
+      view, grid, begin, end,
+      [&](std::size_t k) {
+        const JointTrackQuery& q = queries[k];
+        return acasx::JointLogicTable::locate(config, q.tau1_s, q.delta_s, q.h1_ft,
+                                              q.dh_own_fps, q.dh_int1_fps, q.h2_ft, q.sense,
+                                              q.ra);
+      },
+      [&](std::size_t k) { return out[k].costs.data(); });
 }
 
 /// Evaluate [0, n) through `eval(begin, end)`, sharded across `pool` when
 /// one is given.  Each query writes only its own output slot, so the
-/// sharding is invisible in the results.
+/// sharding is invisible in the results.  A pool task must not throw, so
+/// a range's rejected query is caught there and, after the join, the
+/// lowest range's exception is rethrown: the one a serial run throws.
 template <class Eval>
 void run_batch(std::size_t n, ThreadPool* pool, const Eval& eval) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for_ranges(n, eval);
-  } else {
+  if (pool == nullptr || n <= 1) {
     eval(0, n);
+    return;
   }
+  std::mutex mutex;
+  std::size_t error_begin = n;
+  std::exception_ptr error;
+  pool->parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
+    try {
+      eval(begin, end);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (begin < error_begin) {
+        error_begin = begin;
+        error = std::current_exception();
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -153,7 +171,7 @@ void PolicyServer::query_batch(std::span<const TrackQuery> queries, std::span<Ad
   if (queries.empty()) return;
   with_view(pair_slabs_, [&](const auto& view) {
     run_batch(queries.size(), pool, [&](std::size_t begin, std::size_t end) {
-      eval_pair_range(view, pair_grid_, pair_config_.space.tau_max, queries, out, begin, end);
+      eval_pair_range(view, pair_grid_, pair_config_, queries, out, begin, end);
     });
   });
 }

@@ -80,7 +80,9 @@ class PolicyServer {
   /// Evaluate `queries[i]` into `out[i]` for all i, in input order,
   /// sharded across `pool` when one is given.  Spans must be the same
   /// length.  Bit-identical to calling action_costs per query, with or
-  /// without a pool.
+  /// without a pool.  A query with a NaN field, or an `ra` or `sense`
+  /// outside its enum, throws ContractViolation (the lowest-index one's,
+  /// pooled or not) and leaves `out` unspecified.
   void query_batch(std::span<const TrackQuery> queries, std::span<AdvisoryCosts> out,
                    ThreadPool* pool = nullptr) const;
   void query_batch(std::span<const JointTrackQuery> queries, std::span<AdvisoryCosts> out,

@@ -42,7 +42,9 @@ class UniformAxis {
   }
 
   /// Lower bracketing index and fractional position for interpolation.
-  /// x outside the axis is clamped to the boundary (fraction 0 or 1).
+  /// x outside the axis, +-inf included, is clamped to the boundary
+  /// (fraction 0 or 1).  x must not be NaN, which would be cast to the
+  /// index; the table queries reject it first (LogicTable::locate).
   struct Bracket {
     std::size_t index;  ///< lower vertex, in [0, count-2]
     double frac;        ///< in [0, 1]
@@ -124,21 +126,33 @@ class GridN {
     return out;
   }
 
-  /// Allocation-free scatter for hot query paths (serving/kernel.h):
-  /// writes the same vertex set as scatter(), in the same order, into
-  /// `out` (capacity >= 2^N) and returns the count.
+  /// Allocation-free scatter for hot query paths (serving/kernel.h) and
+  /// the stencil compiler: writes the same vertex set as scatter(), in the
+  /// same order, into `out` (capacity >= 2^N) and returns the count.
+  ///
+  /// Each axis is bracketed once, into the factors {1 - frac, frac} and
+  /// the offsets {i * stride, (i + 1) * stride}.  A corner's weight is the
+  /// left-to-right product of its axes' factors (axis 0 first), its flat
+  /// index the exact sum of their offsets; corner c takes axis d's upper
+  /// side when bit d of c is set.  Zero-weight corners are dropped, so a
+  /// point on a vertex scatters to that one vertex.
   std::size_t scatter_into(const std::array<double, N>& x, GridVertexWeight* out) const {
-    std::array<UniformAxis::Bracket, N> br{};
-    for (std::size_t d = 0; d < N; ++d) br[d] = axes_[d].bracket(x[d]);
+    std::array<std::array<double, 2>, N> factor{};
+    std::array<std::array<std::size_t, 2>, N> offset{};
+    for (std::size_t d = 0; d < N; ++d) {
+      const UniformAxis::Bracket br = axes_[d].bracket(x[d]);
+      factor[d] = {1.0 - br.frac, br.frac};
+      offset[d] = {br.index * strides_[d], (br.index + 1) * strides_[d]};
+    }
 
     std::size_t n = 0;
     for (std::size_t corner = 0; corner < (std::size_t{1} << N); ++corner) {
-      double w = 1.0;
-      std::size_t flat = 0;
-      for (std::size_t d = 0; d < N; ++d) {
-        const bool hi = (corner >> d) & 1U;
-        w *= hi ? br[d].frac : (1.0 - br[d].frac);
-        flat += (br[d].index + (hi ? 1 : 0)) * strides_[d];
+      double w = factor[0][corner & 1U];
+      std::size_t flat = offset[0][corner & 1U];
+      for (std::size_t d = 1; d < N; ++d) {
+        const std::size_t side = (corner >> d) & 1U;
+        w *= factor[d][side];
+        flat += offset[d][side];
       }
       if (w > 0.0) out[n++] = {flat, w};
     }
@@ -146,21 +160,15 @@ class GridN {
   }
 
   /// Multilinear interpolation of `values` (one value per vertex, flat
-  /// row-major layout) at a continuous point.
+  /// row-major layout) at a continuous point: the scatter_into() vertices'
+  /// weighted sum, in their order.
   template <typename ValueContainer>
   double interpolate(const ValueContainer& values, const std::array<double, N>& x) const {
-    std::array<UniformAxis::Bracket, N> br{};
-    for (std::size_t d = 0; d < N; ++d) br[d] = axes_[d].bracket(x[d]);
+    GridVertexWeight verts[std::size_t{1} << N];
+    const std::size_t n = scatter_into(x, verts);
     double acc = 0.0;
-    for (std::size_t corner = 0; corner < (std::size_t{1} << N); ++corner) {
-      double w = 1.0;
-      std::size_t flat = 0;
-      for (std::size_t d = 0; d < N; ++d) {
-        const bool hi = (corner >> d) & 1U;
-        w *= hi ? br[d].frac : (1.0 - br[d].frac);
-        flat += (br[d].index + (hi ? 1 : 0)) * strides_[d];
-      }
-      if (w > 0.0) acc += w * static_cast<double>(values[flat]);
+    for (std::size_t v = 0; v < n; ++v) {
+      acc += verts[v].weight * static_cast<double>(values[verts[v].flat]);
     }
     return acc;
   }

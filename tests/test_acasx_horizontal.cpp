@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "acasx/offline_solver.h"
 #include "coarse_horizontal_table.h"
 #include "core/fitness.h"
 #include "encounter/encounter.h"
+#include "serving/xxh64.h"
 #include "sim/acasx_cas.h"
 #include "util/expect.h"
 
@@ -140,6 +142,17 @@ TEST_F(HorizontalTest, ParallelMatchesSerial) {
   for (std::size_t i = 0; i < serial.raw().size(); ++i) {
     ASSERT_EQ(serial.raw()[i], parallel.raw()[i]) << "entry " << i;
   }
+}
+
+// Byte pin: XXH64 of the coarse table's values, captured while
+// GridN::interpolate still carried its own copy of the corner loop.  The
+// horizontal solve interpolates every successor through it, so any change
+// to the corner construction's rounding or order shows here.
+TEST_F(HorizontalTest, CoarseTableBytesArePinned) {
+  const std::vector<float>& q = (*table_)->raw();
+  serving::Xxh64 hash;
+  hash.update(q.data(), q.size() * sizeof(float));
+  EXPECT_EQ(hash.digest(), 0x96f716e9fd0338d3ULL);
 }
 
 TEST_F(HorizontalTest, OnlineFarTrafficStraight) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <random>
 
 #include "acasx/offline_solver.h"
@@ -78,6 +79,10 @@ TEST(SecondaryAbstractionTest, DeltaBinsSnapNearestAndClamp) {
   EXPECT_EQ(s.delta_bin(10.0), 1U);
   EXPECT_EQ(s.delta_bin(500.0), 1U);
   EXPECT_EQ(s.delta_value_s(1), 10.0);
+  // Offsets too large for any integer clamp before they are cast.
+  EXPECT_EQ(s.delta_bin(1e300), 1U);
+  EXPECT_EQ(s.delta_bin(std::numeric_limits<double>::infinity()), 1U);
+  EXPECT_EQ(s.delta_bin(-std::numeric_limits<double>::infinity()), 0U);
 }
 
 TEST(SecondaryAbstractionTest, SenseClassesAndRepresentativeRates) {

@@ -1,14 +1,18 @@
 // PolicyServer (serving/policy_server.h): batch-of-one is bit-identical
-// to the single-query table API, batches are invariant to input order
-// and pooling, spans match the array wrappers, image-served f32
-// matches in-memory serving bit for bit, and quantized serving's policy
-// disagreement stays pinned.
+// to the single-query table API, so is every query of a batch of any size
+// (serial or pooled, around the look-ahead ring's length), batches are
+// invariant to input order and pooling, spans match the array wrappers,
+// image-served f32 matches in-memory serving bit for bit, quantized
+// serving's policy disagreement stays pinned, and a query with a NaN
+// field or an out-of-range enum is rejected on every path.
 #include "serving/policy_server.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -17,6 +21,7 @@
 #include "acasx/joint_solver.h"
 #include "acasx/offline_solver.h"
 #include "acasx/online_logic.h"
+#include "serving/kernel.h"
 #include "sim/acasx_cas.h"
 #include "util/expect.h"
 #include "util/thread_pool.h"
@@ -167,6 +172,181 @@ TEST_F(PolicyServerTest, BatchIsInvariantToOrderSortingAndPooling) {
   server_->query_batch(shuffled, shuffled_out);
   for (std::size_t i = 0; i < perm.size(); ++i) {
     ASSERT_EQ(shuffled_out[i].costs, reference[perm[i]].costs) << "query " << i;
+  }
+}
+
+/// Batch sizes around the look-ahead ring: empty, one, a ring that never
+/// refills, exactly one ring, one refill, two laps plus one, and a city
+/// cycle.
+std::vector<std::size_t> ring_batch_sizes() {
+  return {0, 1, kLookAhead - 1, kLookAhead, kLookAhead + 1, 2 * kLookAhead + 1, 4096};
+}
+
+bool same_bits(const AdvisoryCosts& a, const std::array<double, kNumAdvisories>& b) {
+  return std::memcmp(a.costs.data(), b.data(), sizeof(b)) == 0;
+}
+
+/// Every batch size, serial and on pool(3) (whose ranges have unequal
+/// lengths), starting at several offsets of one query pool: each query's
+/// costs equal `single(query)` bit for bit.
+template <typename Query, typename Single>
+void expect_batches_match(const PolicyServer& server, const std::vector<Query>& pool_queries,
+                          const Single& single) {
+  ThreadPool pool(3);
+  for (const std::size_t size : ring_batch_sizes()) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{3}, std::size_t{101}}) {
+      ASSERT_LE(offset + size, pool_queries.size());
+      const std::span<const Query> batch(pool_queries.data() + offset, size);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<AdvisoryCosts> out(size);
+        server.query_batch(batch, out, p);
+        for (std::size_t i = 0; i < size; ++i) {
+          ASSERT_TRUE(same_bits(out[i], single(batch[i])))
+              << "batch of " << size << " at offset " << offset << (p ? ", pooled" : ", serial")
+              << ": query " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(PolicyServerTest, BatchesOfEverySizeMatchTheTableQueries) {
+  expect_batches_match(*server_, fuzz_pair_queries(pair_->config(), 4300, 53),
+                       [&](const TrackQuery& q) {
+                         return pair_->action_costs(q.tau_s, q.h_ft, q.dh_own_fps, q.dh_int_fps,
+                                                    q.ra);
+                       });
+  expect_batches_match(*server_, fuzz_joint_queries(joint_->config(), 4300, 59),
+                       [&](const JointTrackQuery& q) {
+                         return joint_->action_costs(q.tau1_s, q.delta_s, q.h1_ft, q.dh_own_fps,
+                                                     q.dh_int1_fps, q.h2_ft, q.sense, q.ra);
+                       });
+}
+
+TEST_F(PolicyServerTest, QuantizedBatchesOfEverySizeMatchBatchOfOne) {
+  for (const Quantization quant : {Quantization::kFloat16, Quantization::kInt8}) {
+    SCOPED_TRACE(quantization_name(quant));
+    const std::string pair_path = ::testing::TempDir() + "serving_server_ring_pair.img";
+    const std::string joint_path = ::testing::TempDir() + "serving_server_ring_joint.img";
+    pair_->save(pair_path, quant);
+    joint_->save(joint_path, quant);
+    const PolicyServer quant_server = PolicyServer::open(pair_path, joint_path);
+    ASSERT_EQ(quant_server.pairwise_quantization(), quant);
+    ASSERT_EQ(quant_server.joint_quantization(), quant);
+    const auto batch_of_one = [&](const auto& q) {
+      std::array<double, kNumAdvisories> costs{};
+      quant_server.action_costs(q, costs);
+      return costs;
+    };
+    expect_batches_match(quant_server, fuzz_pair_queries(pair_->config(), 4300, 61),
+                         batch_of_one);
+    expect_batches_match(quant_server, fuzz_joint_queries(joint_->config(), 4300, 67),
+                         batch_of_one);
+    std::remove(pair_path.c_str());
+    std::remove(joint_path.c_str());
+  }
+}
+
+/// `bad` broken into a batch of valid queries at several positions (first,
+/// inside the first ring, after a refill, last): every path rejects it.
+template <typename Query, typename Single>
+void expect_rejected_everywhere(const PolicyServer& server, std::vector<Query> batch,
+                                const Query& bad, const Single& single, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_THROW(single(bad), ContractViolation);
+  std::array<double, kNumAdvisories> costs{};
+  EXPECT_THROW(server.action_costs(bad, costs), ContractViolation);
+  ThreadPool pool(3);
+  for (const std::size_t at : {std::size_t{0}, kLookAhead - 1, 2 * kLookAhead + 1,
+                               batch.size() - 1}) {
+    std::vector<Query> broken = batch;
+    broken[at] = bad;
+    std::vector<AdvisoryCosts> out(broken.size());
+    EXPECT_THROW(server.query_batch(broken, out), ContractViolation) << "serial, at " << at;
+    EXPECT_THROW(server.query_batch(broken, out, &pool), ContractViolation) << "pooled, at " << at;
+  }
+}
+
+TEST_F(PolicyServerTest, NaNFieldsAndOutOfRangeEnumsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto pair_queries = fuzz_pair_queries(pair_->config(), 300, 71);
+  const auto pair_single = [&](const TrackQuery& q) {
+    return pair_->action_costs(q.tau_s, q.h_ft, q.dh_own_fps, q.dh_int_fps, q.ra);
+  };
+  const TrackQuery pair_ok = pair_queries[5];
+  const struct {
+    double TrackQuery::*field;
+    const char* name;
+  } kPairFields[] = {{&TrackQuery::tau_s, "tau_s"},
+                     {&TrackQuery::h_ft, "h_ft"},
+                     {&TrackQuery::dh_own_fps, "dh_own_fps"},
+                     {&TrackQuery::dh_int_fps, "dh_int_fps"}};
+  for (const auto& f : kPairFields) {
+    TrackQuery bad = pair_ok;
+    bad.*f.field = nan;
+    expect_rejected_everywhere(*server_, pair_queries, bad, pair_single, f.name);
+  }
+  for (const int ra : {static_cast<int>(kNumAdvisories), 255}) {
+    TrackQuery bad = pair_ok;
+    bad.ra = static_cast<acasx::Advisory>(ra);
+    expect_rejected_everywhere(*server_, pair_queries, bad, pair_single, "ra");
+  }
+
+  const auto joint_queries = fuzz_joint_queries(joint_->config(), 300, 73);
+  const auto joint_single = [&](const JointTrackQuery& q) {
+    return joint_->action_costs(q.tau1_s, q.delta_s, q.h1_ft, q.dh_own_fps, q.dh_int1_fps,
+                                q.h2_ft, q.sense, q.ra);
+  };
+  const JointTrackQuery joint_ok = joint_queries[5];
+  const struct {
+    double JointTrackQuery::*field;
+    const char* name;
+  } kJointFields[] = {{&JointTrackQuery::tau1_s, "tau1_s"},
+                      {&JointTrackQuery::delta_s, "delta_s"},
+                      {&JointTrackQuery::h1_ft, "h1_ft"},
+                      {&JointTrackQuery::dh_own_fps, "dh_own_fps"},
+                      {&JointTrackQuery::dh_int1_fps, "dh_int1_fps"},
+                      {&JointTrackQuery::h2_ft, "h2_ft"}};
+  for (const auto& f : kJointFields) {
+    JointTrackQuery bad = joint_ok;
+    bad.*f.field = nan;
+    expect_rejected_everywhere(*server_, joint_queries, bad, joint_single, f.name);
+  }
+  for (const int ra : {static_cast<int>(kNumAdvisories), 255}) {
+    JointTrackQuery bad = joint_ok;
+    bad.ra = static_cast<acasx::Advisory>(ra);
+    expect_rejected_everywhere(*server_, joint_queries, bad, joint_single, "joint ra");
+  }
+  for (const int sense : {static_cast<int>(acasx::kNumSecondarySenses), 255}) {
+    JointTrackQuery bad = joint_ok;
+    bad.sense = static_cast<acasx::SecondarySense>(sense);
+    expect_rejected_everywhere(*server_, joint_queries, bad, joint_single, "sense");
+  }
+}
+
+TEST_F(PolicyServerTest, InfiniteFieldsClampToTheTableEdge) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const acasx::StateSpaceConfig& space = pair_->config().space;
+  const double tau_max = static_cast<double>(space.tau_max);
+  for (const auto ra : acasx::kAllAdvisories) {
+    EXPECT_EQ(pair_->action_costs(inf, inf, -inf, 0.0, ra),
+              pair_->action_costs(tau_max, space.h_ft.hi(), space.dh_own_fps.lo(), 0.0, ra));
+    EXPECT_EQ(pair_->action_costs(-inf, -inf, 0.0, inf, ra),
+              pair_->action_costs(0.0, space.h_ft.lo(), 0.0, space.dh_int_fps.hi(), ra));
+  }
+  const JointConfig& jc = joint_->config();
+  const double last_delta = jc.secondary.delta_value_s(jc.secondary.num_delta_bins - 1);
+  for (const auto sense : {acasx::SecondarySense::kLevel, acasx::SecondarySense::kDescending}) {
+    // An infinite delta snaps to the last bin; an infinite tau1 clamps to
+    // the top layer, as tau1 = tau_max does once the bin's offset is added.
+    EXPECT_EQ(joint_->action_costs(3.0, inf, 100.0, 0.0, 0.0, -inf, sense, acasx::Advisory::kCoc),
+              joint_->action_costs(3.0, last_delta, 100.0, 0.0, 0.0, jc.secondary.h2_ft.lo(),
+                                   sense, acasx::Advisory::kCoc));
+    EXPECT_EQ(joint_->action_costs(inf, 0.0, inf, inf, -inf, 0.0, sense,
+                                   acasx::Advisory::kClimb1500),
+              joint_->action_costs(static_cast<double>(jc.space.tau_max), 0.0, jc.space.h_ft.hi(),
+                                   jc.space.dh_own_fps.hi(), jc.space.dh_int_fps.lo(), 0.0, sense,
+                                   acasx::Advisory::kClimb1500));
   }
 }
 

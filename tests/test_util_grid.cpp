@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -133,6 +136,109 @@ TEST(Grid1, OneDimensionalInterpolation) {
   std::vector<double> values(grid.size());
   for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<double>(i * i);
   EXPECT_NEAR(grid.interpolate(values, {3.5}), (9.0 + 16.0) / 2.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// One corner construction: scatter_into (per-axis factors and offsets) and
+// interpolate (which calls it) against the per-corner loop they replaced,
+// kept here as the oracle.  Count, order, flat index and weight must match
+// bit for bit, and so must the interpolated value.
+
+template <std::size_t N>
+struct CornerOracle {
+  std::array<UniformAxis, N> axes;
+  std::array<std::size_t, N> strides{};
+
+  explicit CornerOracle(const std::array<UniformAxis, N>& a) : axes(a) {
+    strides[N - 1] = 1;
+    for (std::size_t d = N - 1; d > 0; --d) strides[d - 1] = strides[d] * axes[d].count();
+  }
+
+  /// The per-corner loop: w starts at 1 and multiplies every axis's side.
+  std::vector<GridVertexWeight> scatter(const std::array<double, N>& x) const {
+    std::array<UniformAxis::Bracket, N> br{};
+    for (std::size_t d = 0; d < N; ++d) br[d] = axes[d].bracket(x[d]);
+    std::vector<GridVertexWeight> out;
+    for (std::size_t corner = 0; corner < (std::size_t{1} << N); ++corner) {
+      double w = 1.0;
+      std::size_t flat = 0;
+      for (std::size_t d = 0; d < N; ++d) {
+        const bool hi = (corner >> d) & 1U;
+        w *= hi ? br[d].frac : (1.0 - br[d].frac);
+        flat += (br[d].index + (hi ? 1 : 0)) * strides[d];
+      }
+      if (w > 0.0) out.push_back({flat, w});
+    }
+    return out;
+  }
+
+  double interpolate(const std::vector<double>& values, const std::array<double, N>& x) const {
+    double acc = 0.0;
+    for (const GridVertexWeight& v : scatter(x)) acc += v.weight * values[v.flat];
+    return acc;
+  }
+};
+
+/// A coordinate on `axis` of one of the kinds the corner construction must
+/// agree on: random (inside or 20% past either end), exactly on a vertex,
+/// one ulp either side of a vertex or of an axis end, or far outside
+/// (infinities included).
+double corner_probe(const UniformAxis& axis, RngStream& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pad = 0.2 * (axis.hi() - axis.lo());
+  const auto vertex = [&] {
+    return axis.value(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(axis.count()) - 1)));
+  };
+  switch (rng.uniform_int(0, 8)) {
+    case 0: return rng.uniform(axis.lo() - pad, axis.hi() + pad);
+    case 1: return vertex();
+    case 2: return std::nextafter(vertex(), inf);
+    case 3: return std::nextafter(vertex(), -inf);
+    case 4: return std::nextafter(rng.uniform_int(0, 1) == 0 ? axis.lo() : axis.hi(), inf);
+    case 5: return std::nextafter(rng.uniform_int(0, 1) == 0 ? axis.lo() : axis.hi(), -inf);
+    case 6: return rng.uniform_int(0, 1) == 0 ? axis.lo() - 1e6 : axis.hi() + 1e6;
+    case 7: return rng.uniform_int(0, 1) == 0 ? -inf : inf;
+    default: return rng.uniform(axis.lo(), axis.hi());
+  }
+}
+
+template <std::size_t N>
+void expect_corners_match_oracle(const std::array<UniformAxis, N>& axes, std::uint64_t seed) {
+  const GridN<N> grid(axes);
+  const CornerOracle<N> oracle(axes);
+  RngStream rng(seed);
+  std::vector<double> values(grid.size());
+  for (auto& v : values) v = rng.uniform(-500.0, 500.0);
+  for (int i = 0; i < 20000; ++i) {
+    std::array<double, N> x{};
+    for (std::size_t d = 0; d < N; ++d) x[d] = corner_probe(axes[d], rng);
+    const std::vector<GridVertexWeight> want = oracle.scatter(x);
+    GridVertexWeight got[std::size_t{1} << N];
+    const std::size_t n = grid.scatter_into(x, got);
+    ASSERT_EQ(n, want.size()) << "N = " << N << ", point " << i;
+    for (std::size_t v = 0; v < n; ++v) {
+      ASSERT_EQ(got[v].flat, want[v].flat) << "N = " << N << ", point " << i << ", corner " << v;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[v].weight),
+                std::bit_cast<std::uint64_t>(want[v].weight))
+          << "N = " << N << ", point " << i << ", corner " << v;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(grid.interpolate(values, x)),
+              std::bit_cast<std::uint64_t>(oracle.interpolate(values, x)))
+        << "N = " << N << ", point " << i;
+  }
+}
+
+TEST(GridCorners, ScatterAndInterpolateMatchThePerCornerLoopBitForBit) {
+  // Axes with steps that are not binary fractions, so brackets round.
+  const UniformAxis h(-1000.0, 1000.0, 21);
+  const UniformAxis rate(-2500.0 / 60.0, 2500.0 / 60.0, 9);
+  const UniformAxis small(0.1, 0.7, 4);
+  const UniformAxis two(-3.0, 7.0, 2);
+  expect_corners_match_oracle<1>({rate}, 101);
+  expect_corners_match_oracle<2>({h, small}, 102);
+  expect_corners_match_oracle<3>({h, rate, rate}, 103);
+  expect_corners_match_oracle<4>({h, rate, two, small}, 104);
 }
 
 /// Property sweep: interpolation stays within [min, max] of vertex values
