@@ -39,4 +39,15 @@ double action_cost(Advisory ra, Advisory a, const CostModel& costs) {
   return c;
 }
 
+ActionCostTable action_cost_table(const CostModel& costs) {
+  ActionCostTable table{};
+  for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
+    for (std::size_t a = 0; a < kNumAdvisories; ++a) {
+      table[ra * kNumAdvisories + a] =
+          action_cost(static_cast<Advisory>(ra), static_cast<Advisory>(a), costs);
+    }
+  }
+  return table;
+}
+
 }  // namespace cav::acasx

@@ -76,4 +76,10 @@ void for_each_successor(const StateSpaceConfig& space, const DynamicsConfig& dyn
 /// `ra` (maneuver/level costs plus strengthen/reversal surcharges).
 double action_cost(Advisory ra, Advisory a, const CostModel& costs);
 
+/// action_cost() of every (ra, a) pair, at [ra * kNumAdvisories + a].  The
+/// table does not change during a solve, so the Bellman backups read it
+/// instead of recomputing each cost per grid point and tau layer.
+using ActionCostTable = std::array<double, kNumAdvisories * kNumAdvisories>;
+ActionCostTable action_cost_table(const CostModel& costs);
+
 }  // namespace cav::acasx

@@ -98,12 +98,16 @@ bool HorizontalTable::in_conflict(double dx_m, double dy_m) const {
 std::array<double, kNumTurnAdvisories> HorizontalTable::action_costs(double dx_m, double dy_m,
                                                                      double rvx_mps,
                                                                      double rvy_mps) const {
-  const auto vertices = grid_.scatter({dx_m, dy_m, rvx_mps, rvy_mps});
+  expect(!(std::isnan(dx_m) || std::isnan(dy_m) || std::isnan(rvx_mps) || std::isnan(rvy_mps)),
+         "horizontal query has no NaN field");
+  GridVertexWeight vertices[std::size_t{1} << 4];
+  const std::size_t count = grid_.scatter_into({dx_m, dy_m, rvx_mps, rvy_mps}, vertices);
   std::array<double, kNumTurnAdvisories> costs{};
   for (std::size_t a = 0; a < kNumTurnAdvisories; ++a) {
     double acc = 0.0;
-    for (const auto& v : vertices) {
-      acc += v.weight * static_cast<double>(q_[v.flat * kNumTurnAdvisories + a]);
+    for (std::size_t v = 0; v < count; ++v) {
+      acc += vertices[v].weight *
+             static_cast<double>(q_[vertices[v].flat * kNumTurnAdvisories + a]);
     }
     costs[a] = acc;
   }

@@ -94,7 +94,9 @@ class HorizontalTable {
     return q_[grid_flat * kNumTurnAdvisories + static_cast<std::size_t>(a)];
   }
 
-  /// Interpolated per-action costs at a continuous body-frame state.
+  /// Interpolated per-action costs at a continuous body-frame state.  A
+  /// field outside its axis, +-inf included, clamps to the table's edge; a
+  /// NaN field throws ContractViolation.
   std::array<double, kNumTurnAdvisories> action_costs(double dx_m, double dy_m, double rvx_mps,
                                                       double rvy_mps) const;
 

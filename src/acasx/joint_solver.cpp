@@ -55,6 +55,7 @@ JointLogicTable solve_joint_slabs(const JointConfig& config, const JointStencilS
     expect(set.num_rows() == num_points * kNumAdvisories,
            "joint stencils were built for this grid");
   }
+  const ActionCostTable cost = action_cost_table(config.costs);
   const auto nmac = [&](double h) {
     return std::abs(h) <= config.costs.nmac_h_ft ? config.costs.nmac_cost : 0.0;
   };
@@ -92,7 +93,7 @@ JointLogicTable solve_joint_slabs(const JointConfig& config, const JointStencilS
                              std::size_t end, float* q_out, float* v_out) {
         const bool primary_cpa = (tau == delta_layers);
         const auto charge = [&](std::size_t g) { return primary_cpa ? nmac1(g) : 0.0; };
-        sweep_layer(set, config.costs, charge, v_prev, begin, end, q_out, v_out);
+        sweep_layer(set, cost, charge, v_prev, begin, end, q_out, v_out);
       };
       const std::size_t slab = config.slab_index(db, static_cast<SecondarySense>(s));
       run_induction(num_points, tau_max, terminal, layer, pool, q + slab * slab_floats);

@@ -73,10 +73,11 @@ LogicTable solve_pair_table(const AcasXuConfig& config, const StencilSet* stenci
                                                  : 0.0F;
   };
   const auto noise = sigma_samples(config.dynamics.accel_noise_sigma_fps2);
+  const ActionCostTable cost = action_cost_table(config.costs);
   const auto layer = [&](std::size_t, const float* v_prev, std::size_t begin, std::size_t end,
                          float* q_out, float* v_out) {
     if (stencils != nullptr) {
-      sweep_layer(*stencils, config.costs, NoCharge{}, v_prev, begin, end, q_out, v_out);
+      sweep_layer(*stencils, cost, NoCharge{}, v_prev, begin, end, q_out, v_out);
       return;
     }
     for (std::size_t g = begin; g < end; ++g) {
@@ -86,7 +87,7 @@ LogicTable solve_pair_table(const AcasXuConfig& config, const StencilSet* stenci
         next_value[a] =
             expected_next_value(config, grid, v_prev, state, static_cast<Advisory>(a), noise);
       }
-      bellman_min<false>(config.costs, 0.0, next_value,
+      bellman_min<false>(cost, 0.0, next_value,
                          q_out + (g - begin) * kNumAdvisories * kNumAdvisories,
                          v_out + (g - begin) * kNumAdvisories);
     }

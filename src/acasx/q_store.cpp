@@ -6,6 +6,7 @@
 #include "serving/table_codec.h"
 #include "serving/table_image.h"
 #include "util/expect.h"
+#include "util/pages.h"
 
 namespace cav::acasx {
 
@@ -32,6 +33,8 @@ auto model_fields(Dynamics& d, Costs& c) {
 }
 
 }  // namespace
+
+QStore::QStore(std::size_t count) { resize_prefaulted(q_, count); }
 
 void QStore::expect_kind(const serving::TableImage& image, std::string_view kind,
                          const char* op) {

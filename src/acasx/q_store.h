@@ -33,8 +33,9 @@ namespace cav::acasx {
 class QStore {
  public:
   QStore() = default;
-  /// An owning store of `count` zeros: a solver's write target.
-  explicit QStore(std::size_t count) : q_(count, 0.0F) {}
+  /// An owning store of `count` zeros: a solver's write target.  Its pages
+  /// are prefaulted in one call (util/pages.h), not one fault per page.
+  explicit QStore(std::size_t count);
 
   /// Throws serving::TableIoError(op, "wrong table kind") unless `image`
   /// is of `kind`.

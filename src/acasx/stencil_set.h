@@ -38,6 +38,7 @@
 #include "acasx/config.h"
 #include "acasx/dynamics.h"
 #include "util/grid.h"
+#include "util/pages.h"
 #include "util/thread_pool.h"
 
 namespace cav::acasx {
@@ -115,10 +116,12 @@ StencilSet compile_stencils(const GridN<N>& grid, const Walk& walk, ThreadPool* 
   std::partial_sum(row_entry_offsets.begin(), row_entry_offsets.end(),
                    row_entry_offsets.begin());
 
-  set.group_weight.resize(set.group_offsets.back());
-  set.entry_offsets.resize(set.group_offsets.back() + 1);  // entry_offsets[0] = 0
-  set.vertex.resize(row_entry_offsets.back());
-  set.weight.resize(row_entry_offsets.back());
+  // Tens of MB on a large grid: prefaulted in one call each, not one page
+  // fault per page as resize() zeroes them.
+  resize_prefaulted(set.group_weight, set.group_offsets.back());
+  resize_prefaulted(set.entry_offsets, set.group_offsets.back() + 1);  // entry_offsets[0] = 0
+  resize_prefaulted(set.vertex, row_entry_offsets.back());
+  resize_prefaulted(set.weight, row_entry_offsets.back());
   for_ranges(num_points, pool, [&](std::size_t begin, std::size_t end) {
     // Consecutive rows own consecutive groups and entries, so one cursor
     // pair seeded at the range's first row fills the whole range.
@@ -140,19 +143,19 @@ StencilSet compile_stencils(const GridN<N>& grid, const Walk& walk, ThreadPool* 
 
 /// The costed Bellman minimum of one grid point, given the expected
 /// next-layer value of each action:
-///   q(ra, a) = [charge +] action_cost(ra, a) + next_value[a]
+///   q(ra, a) = [charge +] cost[ra * kNumAdvisories + a] + next_value[a]
 ///   V(ra)    = min_a q(ra, a)
-/// into q_row[ra * kNumAdvisories + a] and v_row[ra].
+/// into q_row[ra * kNumAdvisories + a] and v_row[ra], where `cost` is the
+/// solve's action_cost_table().
 template <bool kCharged>
-void bellman_min(const CostModel& costs, double charge,
+void bellman_min(const ActionCostTable& cost, double charge,
                  const std::array<double, kNumAdvisories>& next_value, float* q_row,
                  float* v_row) {
   for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t a = 0; a < kNumAdvisories; ++a) {
-      const double cost =
-          action_cost(static_cast<Advisory>(ra), static_cast<Advisory>(a), costs);
-      const double q = (kCharged ? charge + cost : cost) + next_value[a];
+      const double c = cost[ra * kNumAdvisories + a];
+      const double q = (kCharged ? charge + c : c) + next_value[a];
       q_row[ra * kNumAdvisories + a] = static_cast<float>(q);
       best = std::min(best, q);
     }
@@ -170,29 +173,50 @@ struct NoCharge {};
 /// the sweep adds in front of the action cost.  Writes
 ///   q_out[(g - begin) * kNumAdvisories^2 + ra * kNumAdvisories + a]
 ///   v_out[(g - begin) * kNumAdvisories + ra]
+///
+/// Consecutive rows own consecutive groups and entries, so the sweep walks
+/// them with one group and one entry cursor and reads each offset once.
+/// Every group and row adds its terms in the reference kernel's order.
 template <typename Charge>
-void sweep_layer(const StencilSet& stencils, const CostModel& costs, const Charge& charge,
+void sweep_layer(const StencilSet& stencils, const ActionCostTable& cost, const Charge& charge,
                  const float* v_prev, std::size_t begin, std::size_t end, float* q_out,
                  float* v_out) {
   constexpr bool kCharged = !std::is_same_v<Charge, NoCharge>;
+  const std::uint64_t* const group_offsets = stencils.group_offsets.data();
+  const double* const group_weight = stencils.group_weight.data();
+  const std::uint64_t* const entry_offsets = stencils.entry_offsets.data();
+  const std::uint32_t* const vertex = stencils.vertex.data();
+  const double* const weight = stencils.weight.data();
+  std::uint64_t j = group_offsets[begin * kNumAdvisories];
+  std::uint64_t k = entry_offsets[j];
   for (std::size_t g = begin; g < end; ++g) {
     std::array<double, kNumAdvisories> next_value{};
     for (std::size_t a = 0; a < kNumAdvisories; ++a) {
-      const std::size_t r = g * kNumAdvisories + a;
+      const float* const v = v_prev + a;
+      const std::uint64_t row_end = group_offsets[g * kNumAdvisories + a + 1];
       double acc = 0.0;
-      for (std::size_t j = stencils.group_offsets[r]; j < stencils.group_offsets[r + 1]; ++j) {
+      for (; j < row_end; ++j) {
+        const std::uint64_t group_end = entry_offsets[j + 1];
         double value = 0.0;
-        for (std::size_t k = stencils.entry_offsets[j]; k < stencils.entry_offsets[j + 1]; ++k) {
-          value += stencils.weight[k] *
-                   static_cast<double>(v_prev[stencils.vertex[k] * kNumAdvisories + a]);
+        const auto add = [&](std::uint64_t e) {
+          value += weight[e] * static_cast<double>(v[vertex[e] * kNumAdvisories]);
+        };
+        // Four entries per step, in order; most groups hold 4, 8 or 16
+        // corners, so the remainder loop seldom runs.
+        for (; k + 4 <= group_end; k += 4) {
+          add(k);
+          add(k + 1);
+          add(k + 2);
+          add(k + 3);
         }
-        acc += stencils.group_weight[j] * value;
+        for (; k < group_end; ++k) add(k);
+        acc += group_weight[j] * value;
       }
       next_value[a] = acc;
     }
     double point_charge = 0.0;
     if constexpr (kCharged) point_charge = charge(g);
-    bellman_min<kCharged>(costs, point_charge, next_value,
+    bellman_min<kCharged>(cost, point_charge, next_value,
                           q_out + (g - begin) * kNumAdvisories * kNumAdvisories,
                           v_out + (g - begin) * kNumAdvisories);
   }
@@ -227,11 +251,5 @@ void run_induction(std::size_t num_points, std::size_t tau_max, const Terminal& 
     v_prev.swap(v_cur);
   }
 }
-
-/// Hand the heap's free pages back to the OS.  A one-shot solve calls it
-/// after its stencils are freed: they are tens of MB, and glibc keeps
-/// freed blocks below its trim threshold resident, which would otherwise
-/// stay in the process's peak footprint for the rest of its life.
-void release_freed_heap();
 
 }  // namespace cav::acasx

@@ -124,5 +124,26 @@ TEST(ActionCost, ZeroTerminationCostRestoresPureLevelReward) {
   EXPECT_DOUBLE_EQ(action_cost(Advisory::kClimb2500, Advisory::kCoc, costs), -50.0);
 }
 
+TEST(ActionCost, TableHoldsEveryPairsCost) {
+  CostModel revised;
+  revised.maneuver_cost = 250.0;
+  revised.reversal_cost = 700.0;
+  revised.level_reward = 12.5;
+  revised.termination_cost = 0.0;
+  for (const CostModel& costs : {CostModel{}, revised}) {
+    const ActionCostTable table = action_cost_table(costs);
+    for (const Advisory ra : kAllAdvisories) {
+      for (const Advisory a : kAllAdvisories) {
+        // Bit equality: the solvers' backups read the table in place of
+        // the call, and every table pin depends on the same doubles.
+        EXPECT_EQ(table[static_cast<std::size_t>(ra) * kNumAdvisories +
+                        static_cast<std::size_t>(a)],
+                  action_cost(ra, a, costs))
+            << advisory_name(ra) << " -> " << advisory_name(a);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cav::acasx

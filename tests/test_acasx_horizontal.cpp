@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "serving/xxh64.h"
 #include "sim/acasx_cas.h"
 #include "util/expect.h"
+#include "util/rng.h"
 
 namespace cav::acasx {
 namespace {
@@ -194,6 +198,71 @@ TEST_F(HorizontalTest, AdvisoryNamesAndRates) {
   EXPECT_GT(turn_rate_of(TurnAdvisory::kTurnLeft, 0.1), 0.0);
   EXPECT_LT(turn_rate_of(TurnAdvisory::kTurnRight, 0.1), 0.0);
   EXPECT_EQ(turn_rate_of(TurnAdvisory::kStraight, 0.1), 0.0);
+}
+
+// Queries on an unsolved coarse table whose values are set by hand, so no
+// solve runs.
+
+/// The coarse grid's table with pseudo-random values in every entry.
+HorizontalTable filled_coarse_table() {
+  HorizontalTable table(HorizontalConfig::coarse());
+  RngStream rng(2026);
+  for (float& q : table.raw()) q = static_cast<float>(rng.uniform(-1000.0, 1000.0));
+  return table;
+}
+
+TEST(HorizontalQueryTest, NanFieldIsRejected) {
+  const HorizontalTable table(HorizontalConfig::coarse());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(table.action_costs(nan, 0.0, 0.0, 0.0), ContractViolation);
+  EXPECT_THROW(table.action_costs(0.0, nan, 0.0, 0.0), ContractViolation);
+  EXPECT_THROW(table.action_costs(0.0, 0.0, nan, 0.0), ContractViolation);
+  EXPECT_THROW(table.action_costs(0.0, 0.0, 0.0, nan), ContractViolation);
+}
+
+TEST(HorizontalQueryTest, InfiniteFieldClampsToTheEdge) {
+  const HorizontalTable table = filled_coarse_table();
+  const HorizontalConfig& c = table.config();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::array<double, 4> inside{130.0, -270.0, 7.5, -3.0};
+  const std::array<const UniformAxis*, 4> axes{&c.x_m, &c.y_m, &c.rvx_mps, &c.rvy_mps};
+  for (std::size_t d = 0; d < 4; ++d) {
+    for (const double sign : {-1.0, 1.0}) {
+      std::array<double, 4> at_inf = inside;
+      std::array<double, 4> at_edge = inside;
+      at_inf[d] = sign * inf;
+      at_edge[d] = sign < 0.0 ? axes[d]->lo() : axes[d]->hi();
+      EXPECT_EQ(table.action_costs(at_inf[0], at_inf[1], at_inf[2], at_inf[3]),
+                table.action_costs(at_edge[0], at_edge[1], at_edge[2], at_edge[3]))
+          << "axis " << d << ", sign " << sign;
+    }
+  }
+}
+
+TEST(HorizontalQueryTest, CostsMatchPerActionInterpolation) {
+  const HorizontalTable table = filled_coarse_table();
+  const HorizontalConfig& c = table.config();
+  // One action's values, as GridN::interpolate reads them.
+  struct ActionValues {
+    const std::vector<float>* q;
+    std::size_t action;
+    float operator[](std::size_t flat) const { return (*q)[flat * kNumTurnAdvisories + action]; }
+  };
+  RngStream rng(7);
+  const auto draw = [&](const UniformAxis& axis) {
+    // 10% past each edge, so clamped points are drawn too.
+    const double margin = 0.1 * (axis.hi() - axis.lo());
+    return rng.uniform(axis.lo() - margin, axis.hi() + margin);
+  };
+  for (int i = 0; i < 10000; ++i) {
+    const std::array<double, 4> x{draw(c.x_m), draw(c.y_m), draw(c.rvx_mps), draw(c.rvy_mps)};
+    const auto costs = table.action_costs(x[0], x[1], x[2], x[3]);
+    std::array<double, kNumTurnAdvisories> oracle{};
+    for (std::size_t a = 0; a < kNumTurnAdvisories; ++a) {
+      oracle[a] = table.grid().interpolate(ActionValues{&table.raw(), a}, x);
+    }
+    ASSERT_EQ(std::memcmp(costs.data(), oracle.data(), sizeof(costs)), 0) << "point " << i;
+  }
 }
 
 class CombinedClosedLoopTest : public ::testing::Test {

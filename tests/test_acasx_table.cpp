@@ -308,6 +308,13 @@ TEST_F(TableTest, CoarseTableBytesArePinned) {
             kCoarseTableDigest);
 }
 
+// The table every workload serves: 21 x 21 x 21 points, 41 layers.
+TEST(TableDigestTest, StandardTableBytesArePinned) {
+  ThreadPool pool(4);
+  EXPECT_EQ(values_digest(solve_logic_table(AcasXuConfig::standard(), &pool)),
+            0x3103045ff4b736d4ULL);
+}
+
 TEST(TableDigestTest, CompiledModelCostRevisionBytesArePinned) {
   const CompiledAcasModel model(AcasXuConfig::coarse());
   CostModel revised = AcasXuConfig::coarse().costs;

@@ -23,6 +23,13 @@ of the medians, and a verdict:
                 unless every change run reads better (within bound) or
                 worse (worse, past the bound) than every parent run.
 
+After the runs it prints where a fixed list of hot functions sits in each
+side's perfbench binary (`nm -C <checkout>/.bench_build/perfbench`): each
+address mod 64, and "moved" where that cache-line offset differs between
+the sides.  A change that moves the run path's code can shift a metric
+although no instruction on that path changed, so read a small difference
+next to this report.
+
 Exits 1 if any run fails, is not "correct", or reports failed operations.
 """
 import argparse
@@ -37,6 +44,19 @@ WITHIN = "within bound"
 WORSE = "worse"
 UNRESOLVED = "unresolved"
 MIN_PAIRS_FOR_GAIN = 10
+
+# The functions perfbench's city and campaign runs spend their cycles in,
+# as `nm -C` names them (without the parameter list).
+HOT_SYMBOLS = (
+    "cav::sim::Simulation::decide_for",
+    "cav::sim::Simulation::decide_all",
+    "cav::sim::Simulation::refresh_tracks",
+    "cav::sim::UavAgent::step",
+    "cav::sim::AdsbSensor::observe",
+    "cav::sim::PairwiseMonitors::replay_slot",
+    "cav::acasx::LogicTable::action_costs",
+)
+CACHE_LINE = 64
 
 
 def quartiles(values):
@@ -71,6 +91,53 @@ def verdict(parent, change, better, bound):
             return WORSE
         return UNRESOLVED
     return WORSE if worse_by > bound else WITHIN
+
+
+def parse_nm(text):
+    """{symbol: address} for the text symbols of `nm -C` output named in
+    HOT_SYMBOLS; split-off parts ("[clone .cold]") do not count."""
+    found = {}
+    for line in text.splitlines():
+        fields = line.split(maxsplit=2)
+        if len(fields) != 3 or fields[1] not in ("T", "t") or "[clone" in fields[2]:
+            continue
+        name = fields[2].split("(", 1)[0]
+        if name in HOT_SYMBOLS and name not in found:
+            found[name] = int(fields[0], 16)
+    return found
+
+
+def read_placement(checkout):
+    """parse_nm() of the checkout's perfbench binary, or None without one."""
+    binary = checkout / ".bench_build" / "perfbench"
+    try:
+        proc = subprocess.run(["nm", "-C", str(binary)], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return None
+    return parse_nm(proc.stdout) if proc.returncode == 0 else None
+
+
+def placement_rows(parent, change):
+    """(symbol, parent offset, change offset, moved) per hot symbol: each
+    address mod CACHE_LINE, None where a side lacks the symbol."""
+    rows = []
+    for symbol in HOT_SYMBOLS:
+        p = parent.get(symbol)
+        c = change.get(symbol)
+        p_off = None if p is None else p % CACHE_LINE
+        c_off = None if c is None else c % CACHE_LINE
+        rows.append((symbol, p_off, c_off, p_off is not None and c_off is not None and p_off != c_off))
+    return rows
+
+
+def placement_report(parent, change):
+    """Print placement_rows() of two parse_nm() results."""
+    print(f"\nhot functions, address mod {CACHE_LINE}")
+    print(f"{'symbol':<44} {'parent':>6} {'change':>6}")
+    for symbol, p_off, c_off, moved in placement_rows(parent, change):
+        cells = ["-" if off is None else str(off) for off in (p_off, c_off)]
+        print(f"{symbol:<44} {cells[0]:>6} {cells[1]:>6}  {'moved' if moved else ''}".rstrip())
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -137,6 +204,11 @@ def main():
             runs.append(results)
     if runs:
         report(runs, spec)
+    placements = [read_placement(args.parent), read_placement(args.change)]
+    if None in placements:
+        print("\nbench_pairs: no placement report (nm or a perfbench binary is missing)")
+    else:
+        placement_report(*placements)
     if not healthy:
         print("bench_pairs: a run failed, was not correct, or had failed operations",
               file=sys.stderr)

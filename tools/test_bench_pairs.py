@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Unit tests of tools/bench_pairs.py's verdict on canned paired runs.
+"""Unit tests of tools/bench_pairs.py's verdict on canned paired runs, and of
+its placement report on canned `nm -C` output.
 
     python3 -m unittest discover -s tools -p 'test_*.py'
 """
+import contextlib
+import io
 import unittest
 
 import bench_pairs as bp
@@ -68,6 +71,56 @@ class VerdictTest(unittest.TestCase):
     def test_quartiles_interpolate(self):
         self.assertEqual(bp.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]), (2.0, 3.0, 4.0))
         self.assertEqual(bp.quartiles([7.0]), (7.0, 7.0, 7.0))
+
+
+
+PARENT_NM = """\
+0000000000412340 T cav::sim::Simulation::decide_for(cav::sim::AgentRuntime&, unsigned long, double)
+0000000000401a00 t cav::sim::Simulation::decide_for(cav::sim::AgentRuntime&, unsigned long, double) [clone .cold]
+0000000000412f80 T cav::sim::Simulation::decide_all(double)
+0000000000420100 T cav::sim::UavAgent::step(double, cav::sim::DisturbanceConfig const&, cav::RngStream&)
+0000000000430000 W cav::sim::AdsbSensor::observe(cav::Vec3 const&, cav::Vec3 const&, cav::RngStream&) const
+0000000000500000 B cav::sim::Simulation::refresh_tracks_counter
+                 U memcpy
+"""
+
+# The same binary with every function 0x960 bytes later, as a change
+# elsewhere in the text segment moves them.
+CHANGE_NM = """\
+0000000000412ca0 T cav::sim::Simulation::decide_for(cav::sim::AgentRuntime&, unsigned long, double)
+00000000004138e0 T cav::sim::Simulation::decide_all(double)
+0000000000420a80 T cav::sim::UavAgent::step(double, cav::sim::DisturbanceConfig const&, cav::RngStream&)
+0000000000450000 T cav::sim::PairwiseMonitors::replay_slot(cav::sim::PairwiseMonitors::PairSlot&, double const*, cav::Vec3 const*, cav::Vec3 const*, unsigned long)
+"""
+
+
+class PlacementTest(unittest.TestCase):
+    def test_parse_keeps_text_symbols_of_the_list_only(self):
+        found = bp.parse_nm(PARENT_NM)
+        self.assertEqual(found, {
+            "cav::sim::Simulation::decide_for": 0x412340,
+            "cav::sim::Simulation::decide_all": 0x412f80,
+            "cav::sim::UavAgent::step": 0x420100,
+        })
+
+    def test_rows_flag_a_changed_cache_line_offset(self):
+        rows = {row[0]: row[1:] for row in bp.placement_rows(bp.parse_nm(PARENT_NM),
+                                                               bp.parse_nm(CHANGE_NM))}
+        self.assertEqual(rows["cav::sim::Simulation::decide_for"], (0, 32, True))
+        self.assertEqual(rows["cav::sim::Simulation::decide_all"], (0, 32, True))
+        self.assertEqual(rows["cav::sim::UavAgent::step"], (0, 0, False))
+        # Missing on one side or both: shown, never flagged.
+        self.assertEqual(rows["cav::sim::PairwiseMonitors::replay_slot"], (None, 0, False))
+        self.assertEqual(rows["cav::sim::AdsbSensor::observe"], (None, None, False))
+        self.assertEqual(len(rows), len(bp.HOT_SYMBOLS))
+
+    def test_report_prints_every_symbol(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            bp.placement_report(bp.parse_nm(PARENT_NM), bp.parse_nm(CHANGE_NM))
+        lines = out.getvalue().strip().splitlines()
+        self.assertEqual(len(lines), 2 + len(bp.HOT_SYMBOLS))
+        self.assertEqual(sum(line.endswith("moved") for line in lines), 2)
 
 
 if __name__ == "__main__":
